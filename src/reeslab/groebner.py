@@ -295,9 +295,6 @@ class GroebnerBasis:
         # a reduced basis of the unit ideal is exactly [1]
         return bool(self.polys) and total_degree(self.polys[0]) == 0
 
-    def max_lead_degree(self):
-        return max((sum(e) for e in self.lead_exps), default=0)
-
 
 class Ideal:
     """A finitely generated ideal with cached reduced bases.

@@ -42,7 +42,6 @@ from .lengths import (
     colength,
     m_power,
     maximal_ideal,
-    staircase_histogram,
     subquotient_length,
 )
 from .ring import PolyRing
@@ -168,9 +167,9 @@ def _quotient_dimension_from_leads(lead_exps, nvars):
 def local_dimension(a):
     """Dimension of the vanishing locus at the origin.
 
-    Read from the degree of k -> colength(a + m^k).  Graded ideals use
-    the cumulative staircase census; others sample the colengths as
-    written.
+    Graded ideals read it off the lead-term ideal: the largest set of
+    variables that no lead term lives on.  Others take the degree of
+    k -> colength(a + m^k), sampled as written.
     """
     ring = a.ring
     if a.is_zero:
@@ -179,31 +178,21 @@ def local_dimension(a):
         raise PreconditionError("the unit ideal has an empty locus")
     gb = a.groebner()
     if _is_graded(a):
-        # for a graded ideal the lead terms of a + m^k are those of a
-        # plus all degree-k monomials, so one histogram settles every k
-        need = gb.max_lead_degree() + ring.dim + 5
-        hist = staircase_histogram(gb.lead_exps, ring.nvars, need - 1)
-        values = []
-        acc = 0
-        for e in range(need):
-            acc += hist[e]
-            values.append(acc)
-        fit = fit_eventual_polynomial(values, 1)
-    else:
-        k = ring.dim + max(int(sum(e)) for e in gb.lead_exps) + 5
-        cap = k + 12
-        while True:
-            values = [
-                colength(ideal_sum(a, m_power(ring, j)))
-                for j in range(1, k + 1)
-            ]
-            try:
-                fit = fit_eventual_polynomial(values, 1)
-                break
-            except NotStabilizedError:
-                k += 4
-                if k > cap:
-                    raise
+        return _quotient_dimension_from_leads(gb.lead_exps, ring.nvars)
+    k = ring.dim + max(int(sum(e)) for e in gb.lead_exps) + 5
+    cap = k + 12
+    while True:
+        values = [
+            colength(ideal_sum(a, m_power(ring, j)))
+            for j in range(1, k + 1)
+        ]
+        try:
+            fit = fit_eventual_polynomial(values, 1)
+            break
+        except NotStabilizedError:
+            k += 4
+            if k > cap:
+                raise
     return 0 if fit.is_zero else fit.degree
 
 

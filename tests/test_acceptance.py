@@ -13,7 +13,6 @@ import pytest
 from oracle import exps_to_ideal, ideal_to_exps, random_exps, subquotient
 
 from reeslab import (
-    BUDGET,
     ExplicitFiltration,
     Ideal,
     PolyRing,
@@ -263,31 +262,26 @@ def _suite_monomial_oracle(names):
 
 def _suite_rees_consistency(names):
     rng = random.Random(7781)
-    saved = BUDGET.truncation_cap
-    BUDGET.truncation_cap = 60
     direct_true = criterion_negative = 0
-    try:
-        for _ in range(100):
-            nv = rng.choice((2, 3))
-            ring = PolyRing(names[:nv], RationalField())
-            ea = random_exps(rng, nv, 4, 4)
-            a = exps_to_ideal(ring, ea)
-            keep = [e for e in ea if rng.random() < 0.6]
-            c = rng.randrange(1, 3)
-            b = ideal_sum(
-                exps_to_ideal(ring, keep) if keep else zero_ideal(ring),
-                ideal_product(a, m_power(ring, c)),
-            )
-            direct = reduction_test(a, b, n_max=8)
-            crit = rees_criterion(a, b, range(1, 9))
-            if direct.certified and direct.is_reduction:
-                assert crit.verdict == "REDUCTION"
-                direct_true += 1
-            if crit.verdict == "NOT_REDUCTION":
-                assert not direct.is_reduction
-                criterion_negative += 1
-    finally:
-        BUDGET.truncation_cap = saved
+    for _ in range(100):
+        nv = rng.choice((2, 3))
+        ring = PolyRing(names[:nv], RationalField())
+        ea = random_exps(rng, nv, 4, 4)
+        a = exps_to_ideal(ring, ea)
+        keep = [e for e in ea if rng.random() < 0.6]
+        c = rng.randrange(1, 3)
+        b = ideal_sum(
+            exps_to_ideal(ring, keep) if keep else zero_ideal(ring),
+            ideal_product(a, m_power(ring, c)),
+        )
+        direct = reduction_test(a, b, n_max=8)
+        crit = rees_criterion(a, b, range(1, 9))
+        if direct.certified and direct.is_reduction:
+            assert crit.verdict == "REDUCTION"
+            direct_true += 1
+        if crit.verdict == "NOT_REDUCTION":
+            assert not direct.is_reduction
+            criterion_negative += 1
     # both directions of the agreement must actually get exercised
     assert direct_true >= 20 and criterion_negative >= 20
 

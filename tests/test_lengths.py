@@ -22,13 +22,13 @@ from reeslab import (
     colength,
     hilbert_samples,
     ideal_power,
+    ideal_product,
     ideal_sum,
     m_power,
     maximal_ideal,
     staircase_histogram,
     subquotient_length,
     truncated_module_sum,
-    zero_ideal,
     zero_ideal,
 )
 
@@ -86,6 +86,30 @@ def test_staircase_histogram_matches_enumeration():
             assert hist[d] == want
 
 
+def test_numerator_depth_independent_of_generator_count(monkeypatch):
+    # m^30 in three variables has 496 generators; each split halves the
+    # exponents left to one variable, so the depth is logarithmic
+    from oracle import degree_tuples
+
+    from reeslab import lengths
+
+    inner = lengths._numerator
+    depth = [0, 0]
+
+    def counted(gens):
+        depth[0] += 1
+        depth[1] = max(depth)
+        try:
+            return inner(gens)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(lengths, "_numerator", counted)
+    hist = staircase_histogram(degree_tuples(3, 30), 3, 32)
+    assert hist == [(d + 1) * (d + 2) // 2 for d in range(30)] + [0] * 3
+    assert depth[1] <= 3 * (30).bit_length() + 1
+
+
 def test_subquotient_frozen():
     I = Ideal(R, (x**2, x * y, y**2))
     J = Ideal(R, (x**2, y**2))
@@ -111,6 +135,14 @@ def test_subquotient_power_table_frozen():
 def test_subquotient_containment_checked():
     with pytest.raises(ContainmentError):
         subquotient_length(Ideal(R, (x**2,)), Ideal(R, (y,)))
+    # unchecked, a degree where the second ideal is the larger one shows
+    # as a negative coefficient of the Hilbert series
+    with pytest.raises(LengthCertificationError):
+        subquotient_length(
+            Ideal(R, (x**2, y**2)),
+            Ideal(R, (x, y**3)),
+            check_containment=False,
+        )
 
 
 def test_subquotient_infinite_rejected():
@@ -146,9 +178,61 @@ def test_subquotient_matches_oracle_random():
         done += 1
 
 
-def ideal_product_with_mpower(a, c):
-    from reeslab import ideal_product
+def test_subquotient_length_in_high_degree():
+    # the quotients live up to degree 44 and 42: the graded certificate
+    # has no degree window and reads no budget
+    assert subquotient_length(Ideal(R, (x, y)), Ideal(R, (x**45, y))) == 44
+    assert oracle_subquotient([(1, 0), (0, 1)], [(45, 0), (0, 1)], 2) == 44
+    a3 = maximal_ideal(R3)
+    b3 = Ideal(R3, (x3**42, y3, z3**2))
+    assert subquotient_length(a3, b3) == 83
+    ae = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    be = [(42, 0, 0), (0, 1, 0), (0, 0, 2)]
+    assert oracle_subquotient(ae, be, 3) == 83
 
+
+def test_subquotient_differential_random_pairs():
+    # b = (part of a) + a·c for a random monomial ideal c: finite exactly
+    # when the oracle can bound the quotient, infinite otherwise.  The
+    # oracle needs seconds to refuse a four-variable pair, so there c
+    # gets a pure power of every variable and the pair stays finite;
+    # one fixed infinite four-variable pair stands in for the rest.
+    R4 = PolyRing(("x", "y", "z", "w"), RationalField())
+    rings = {2: R, 3: R3, 4: R4}
+    ae, be = [(1, 0, 0, 0), (0, 1, 0, 0)], [(2, 0, 0, 0), (0, 1, 0, 0)]
+    assert oracle_subquotient(ae, be, 4) is None
+    with pytest.raises(LengthCertificationError):
+        subquotient_length(exps_to_ideal(R4, ae), exps_to_ideal(R4, be))
+    rng = random.Random(97)
+    finite = infinite = 0
+    for _ in range(300):
+        nvars = rng.choice((2, 3, 4))
+        ring = rings[nvars]
+        ae = random_exps(rng, nvars, 4, 3)
+        keep = [e for e in ae if rng.random() < 0.5]
+        ce = random_exps(rng, nvars, 4, 3)
+        if nvars == 4:
+            ce += [
+                tuple(rng.randint(1, 3) if j == i else 0 for j in range(4))
+                for i in range(4)
+            ]
+        a = exps_to_ideal(ring, ae)
+        b = ideal_sum(
+            exps_to_ideal(ring, keep) if keep else zero_ideal(ring),
+            ideal_product(a, exps_to_ideal(ring, ce)),
+        )
+        want = oracle_subquotient(ae, ideal_to_exps_safe(b), nvars)
+        if want is None:
+            with pytest.raises(LengthCertificationError):
+                subquotient_length(a, b)
+            infinite += 1
+        else:
+            assert subquotient_length(a, b) == want
+            finite += 1
+    assert finite >= 100 and infinite >= 50
+
+
+def ideal_product_with_mpower(a, c):
     return ideal_product(a, m_power(a.ring, c))
 
 

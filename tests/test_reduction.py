@@ -1,6 +1,11 @@
 """Reduction verdicts, spread, grade, d-sequences, colon stability."""
 
+import random
+from itertools import accumulate
+
 import pytest
+
+from oracle import exps_to_ideal, random_exps
 
 from reeslab import (
     ContainmentError,
@@ -23,6 +28,7 @@ from reeslab import (
     reduction_test,
     rees_criterion,
     rees_function,
+    staircase_histogram,
     zero_ideal,
 )
 
@@ -100,6 +106,53 @@ def test_local_dimension_inhomogeneous():
     # V(y - x^2) is a curve through the origin
     assert local_dimension(Ideal(R, (y - x**2,))) == 1
     assert local_dimension(Ideal(R, (y - x**2, x**3))) == 0
+
+
+def _numerator_order(lead_exps, nvars):
+    # N(t) = (1-t)^n times the Hilbert series; its degree is at most
+    # that of the lcm of the generators, so the truncation is exact
+    top = sum(max(e[i] for e in lead_exps) for i in range(nvars))
+    num = staircase_histogram(lead_exps, nvars, top)
+    for _ in range(nvars):
+        num = [c - p for c, p in zip(num, [0] + num)]
+    order = 0
+    while sum(num) == 0:
+        num = list(accumulate(num))[:-1]
+        order += 1
+    return order
+
+
+def _random_form(rng, ring, degree):
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        e = [0] * ring.nvars
+        for _ in range(degree):
+            e[rng.randrange(ring.nvars)] += 1
+        terms.append(ring.monomial(tuple(e), rng.choice((-2, -1, 1, 3))))
+    return sum(terms[1:], terms[0])
+
+
+def test_local_dimension_matches_numerator_order():
+    rng = random.Random(113)
+    rings = {
+        n: PolyRing(("x", "y", "z", "w")[:n], RationalField())
+        for n in (2, 3, 4)
+    }
+    for _ in range(40):
+        nvars = rng.choice((2, 3, 4))
+        a = exps_to_ideal(rings[nvars], random_exps(rng, nvars, 6, 4))
+        order = _numerator_order(a.groebner().lead_exps, nvars)
+        assert local_dimension(a) == nvars - order
+    for _ in range(20):
+        ring = rings[rng.choice((2, 3))]
+        forms = [
+            _random_form(rng, ring, rng.randint(1, 3))
+            for _ in range(rng.randint(1, 4))
+        ]
+        gens = [f for f in forms if not f.is_zero] or [ring.gens()[0]]
+        a = Ideal(ring, gens)
+        order = _numerator_order(a.groebner().lead_exps, ring.nvars)
+        assert local_dimension(a) == ring.nvars - order
 
 
 def test_grade():
