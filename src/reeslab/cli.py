@@ -3,10 +3,11 @@
 Exit codes: 0 all tasks or checks succeeded, 1 a task errored or a
 check failed, 2 the input could not be used at all.
 
-The resource caps honor the REESLAB_BUDGET environment variable: either
-a bare integer (cap on the basis size) or comma-separated pairs such as
-`basis=8000,pairs=500000,truncation=60,saturation=80`.  Command line
-flags win over the environment.
+Each invocation runs its tasks serially under one immutable budget,
+dropped when the command returns.  REESLAB_BUDGET sets its caps: a bare
+integer (the basis size) or pairs such as
+`basis=8000,pairs=500000,truncation=60,saturation=80`, each a positive
+integer.  Command line flags win over the environment.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .corpus import run_corpus
 from .errors import ParseError, PreconditionError
-from .groebner import BUDGET
+from .groebner import _ACTIVE_BUDGET, BUDGET
 from .runner import run_session
 from .session import Task, parse_session
 
@@ -31,21 +33,34 @@ _BUDGET_KEYS = {
 
 
 def _apply_budget_env(text):
+    """The default budget with the caps of a REESLAB_BUDGET value."""
     text = text.strip()
     if not text:
-        return
+        return BUDGET
     if text.isdigit():
-        BUDGET.max_basis = int(text)
-        return
+        text = f"basis={text}"
+    caps = {}
     for part in text.split(","):
-        key, sep, value = part.partition("=")
-        key = key.strip()
-        if not sep or key not in _BUDGET_KEYS or not value.strip().isdigit():
+        key, _, value = part.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _BUDGET_KEYS or not value.isdigit() or int(value) < 1:
             raise ValueError(
                 f"bad REESLAB_BUDGET entry {part!r}; use "
-                "basis=N,pairs=N,truncation=N,saturation=N or a bare integer"
+                "basis=N,pairs=N,truncation=N,saturation=N or a bare "
+                "integer, each N a positive integer"
             )
-        setattr(BUDGET, _BUDGET_KEYS[key], int(value))
+        caps[_BUDGET_KEYS[key]] = int(value)
+    return replace(BUDGET, **caps)
+
+
+def _int_at_least(least):
+    def integer(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    return integer
 
 
 def _override_nmax(session, nmax):
@@ -83,7 +98,7 @@ def _cmd_run(args):
         return 2
     if args.nmax is not None:
         _override_nmax(session, args.nmax)
-    report = run_session(session, jobs=args.jobs)
+    report = run_session(session)
     for record in report["tasks"]:
         print(_task_line(record))
     if args.json:
@@ -130,17 +145,14 @@ def build_parser():
     run_p.add_argument("session", help="path to the session file")
     run_p.add_argument("--json", metavar="OUT", help="write the report here")
     run_p.add_argument(
-        "--jobs", type=int, default=1, help="run tasks concurrently"
-    )
-    run_p.add_argument(
         "--budget-gb-size",
-        type=int,
+        type=_int_at_least(1),
         metavar="N",
         help="cap the number of basis elements per Groebner run",
     )
     run_p.add_argument(
         "--nmax",
-        type=int,
+        type=_int_at_least(0),
         metavar="N",
         help="override the nmax option on every task that takes one",
     )
@@ -157,16 +169,18 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    env = os.environ.get("REESLAB_BUDGET")
-    if env:
-        try:
-            _apply_budget_env(env)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    if getattr(args, "budget_gb_size", None):
-        BUDGET.max_basis = args.budget_gb_size
-    return args.func(args)
+    try:
+        budget = _apply_budget_env(os.environ.get("REESLAB_BUDGET", ""))
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    if getattr(args, "budget_gb_size", None) is not None:
+        budget = replace(budget, max_basis=args.budget_gb_size)
+    token = _ACTIVE_BUDGET.set(budget)
+    try:
+        return args.func(args)
+    finally:
+        _ACTIVE_BUDGET.reset(token)
 
 
 if __name__ == "__main__":

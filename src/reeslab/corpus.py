@@ -144,7 +144,7 @@ def _get(report, path):
     return value
 
 
-def run_corpus(filter_tag=None, perturb=None, jobs=1):
+def run_corpus(filter_tag=None, perturb=None):
     """Run the bundled sessions and compare every selected check.
 
     filter_tag keeps only the checks carrying that tag; sessions no
@@ -164,8 +164,7 @@ def run_corpus(filter_tag=None, perturb=None, jobs=1):
         )
     needed = sorted({c.session for c in checks})
     reports = {
-        name: run_session(parse_session(CORPUS[name]), jobs=jobs)
-        for name in needed
+        name: run_session(parse_session(CORPUS[name])) for name in needed
     }
     results = []
     passed = failed = 0

@@ -11,6 +11,7 @@ ResourceBudgetError rather than returning a silently truncated answer.
 from __future__ import annotations
 
 import heapq
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from .ring import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResourceBudget:
     """Caps for the iterative algorithms; see REESLAB_BUDGET in the CLI."""
 
@@ -37,6 +38,10 @@ class ResourceBudget:
 
 
 BUDGET = ResourceBudget()
+
+# the budget of the current run, read where no budget is passed; the
+# CLI sets it for one invocation and resets it afterwards
+_ACTIVE_BUDGET = ContextVar("reeslab_budget", default=BUDGET)
 
 
 def _exps_lcm(a, b):
@@ -169,7 +174,7 @@ def buchberger(gens, order=DEFAULT_ORDER, budget=None):
     when a third basis element divides its lcm and both flanking pairs
     were already treated.
     """
-    budget = budget or BUDGET
+    budget = budget or _ACTIVE_BUDGET.get()
     ring = None
     basis = []
     seen = set()
@@ -210,7 +215,7 @@ def buchberger(gens, order=DEFAULT_ORDER, budget=None):
         if pushes > budget.max_pairs:
             raise ResourceBudgetError(
                 f"S-pair budget {budget.max_pairs} exceeded; "
-                "raise REESLAB_BUDGET"
+                "raise REESLAB_BUDGET pairs=N"
             )
 
     for t in range(len(basis)):
@@ -238,7 +243,7 @@ def buchberger(gens, order=DEFAULT_ORDER, budget=None):
         if len(basis) > budget.max_basis:
             raise ResourceBudgetError(
                 f"basis size budget {budget.max_basis} exceeded; "
-                "raise REESLAB_BUDGET"
+                "raise REESLAB_BUDGET basis=N"
             )
         queue_pairs(len(basis) - 1)
     return _reduce_basis(basis, order)
@@ -301,8 +306,7 @@ class Ideal:
 
     The generator list keeps its given order (zeros dropped, duplicates
     collapsed); value-level questions go through a Groebner basis,
-    cached per monomial order.  Cache writes are idempotent, so sharing
-    an Ideal across threads is safe.
+    cached per monomial order.
     """
 
     __slots__ = ("ring", "gens", "_gb", "_cache")
@@ -523,7 +527,7 @@ def colon(a, b):
 
 def saturation(a, b, budget=None):
     """(a : b^infinity, number of colon steps until the chain is stable)."""
-    budget = budget or BUDGET
+    budget = budget or _ACTIVE_BUDGET.get()
     current = a
     for steps in range(budget.saturation_cap + 1):
         nxt = colon(current, b)
@@ -532,7 +536,7 @@ def saturation(a, b, budget=None):
         current = nxt
     raise ResourceBudgetError(
         f"saturation not stable within {budget.saturation_cap} steps; "
-        "raise REESLAB_BUDGET"
+        "raise REESLAB_BUDGET saturation=N"
     )
 
 

@@ -23,7 +23,7 @@ from .errors import (
     RingMismatchError,
 )
 from .groebner import (
-    BUDGET,
+    _ACTIVE_BUDGET,
     Ideal,
     ideal_sum,
     interreduce,
@@ -192,13 +192,8 @@ def subquotient_length(a, b, check_containment=True):
     """The length of a/b for ideals b inside a, certified exactly."""
     if a.ring != b.ring:
         raise RingMismatchError(f"{a.ring!r} vs {b.ring!r}")
-    if check_containment:
-        gba = a.groebner()
-        for g in b.gens:
-            if not gba.contains(g):
-                raise ContainmentError(
-                    "the second ideal is not inside the first"
-                )
+    if check_containment and not a.contains_ideal(b):
+        raise ContainmentError("the second ideal is not inside the first")
     if a.is_zero:
         return 0
     if b.is_zero:
@@ -241,7 +236,7 @@ def _graded_subquotient(a, b):
 
 def _general_subquotient(a, b):
     ring = a.ring
-    cap = BUDGET.truncation_cap
+    cap = _ACTIVE_BUDGET.get().truncation_cap
     # start past every generator degree; grow until the truncation
     # certificate (a ∩ m^N inside b) holds, then difference colengths
     degs = [int(total_degree(g)) for g in a.gens + b.gens]
@@ -274,7 +269,7 @@ def _general_subquotient(a, b):
         n += 2
     raise LengthCertificationError(
         "length not certified finite within the truncation cap; "
-        "raise REESLAB_BUDGET"
+        "raise REESLAB_BUDGET truncation=N"
     )
 
 
@@ -309,10 +304,8 @@ def hilbert_samples(a, b, k_range):
         raise ValueError("empty sample range")
     if ks != list(range(ks[0], ks[0] + len(ks))) or ks[0] < 0:
         raise ValueError("sample range must be consecutive nonnegative")
-    gba = a.groebner()
-    for g in b.gens:
-        if not gba.contains(g):
-            raise ContainmentError("the second ideal is not inside the first")
+    if not a.contains_ideal(b):
+        raise ContainmentError("the second ideal is not inside the first")
     values = []
     for k in ks:
         bk = truncated_module_sum(b, k, a)

@@ -57,12 +57,10 @@ def _as_consecutive(n_range):
 
 
 def _require_containment(outer, inner):
-    gb = outer.groebner()
-    for g in inner.gens:
-        if not gb.contains(g):
-            raise ContainmentError(
-                "the candidate ideal is not inside the ideal it should reduce"
-            )
+    if not outer.contains_ideal(inner):
+        raise ContainmentError(
+            "the candidate ideal is not inside the ideal it should reduce"
+        )
 
 
 def rees_function(outer, inner, n_range=range(1, 9)):

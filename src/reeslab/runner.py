@@ -9,7 +9,6 @@ moves on; genuine bugs still raise.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .errors import LengthCertificationError, ReeslabError
@@ -264,7 +263,7 @@ def run_task(session, task):
     return record
 
 
-def run_session(session, jobs=1):
+def run_session(session):
     """Run every task and assemble the report; task order is kept."""
     if session.ring is None:
         ring_json = None
@@ -283,13 +282,7 @@ def run_session(session, jobs=1):
         else:
             entry["generators"] = [poly_str(bound)]
         bindings_json.append(entry)
-    if jobs > 1 and len(session.tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(
-                pool.map(lambda t: run_task(session, t), session.tasks)
-            )
-    else:
-        records = [run_task(session, t) for t in session.tasks]
+    records = [run_task(session, t) for t in session.tasks]
     return {
         "version": REPORT_VERSION,
         "convention": CONVENTION,

@@ -189,15 +189,6 @@ class Task:
     args: tuple
     options: dict
 
-    def __eq__(self, other):
-        if not isinstance(other, Task):
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.args == other.args
-            and self.options == other.options
-        )
-
 
 class Session:
     """One parsed session: ring, ordered bindings, ordered tasks."""

@@ -1,11 +1,18 @@
 """Command line behaviour, budget knobs, and the bundled corpus."""
 
 import json
+from dataclasses import FrozenInstanceError
 
 import jsonschema
 import pytest
 
-from reeslab import BUDGET, REPORT_SCHEMA, parse_session
+from reeslab import (
+    BUDGET,
+    REPORT_SCHEMA,
+    ResourceBudget,
+    parse_session,
+    run_session,
+)
 from reeslab.cli import _apply_budget_env, _override_nmax, main
 from reeslab.corpus import CHECKS, CORPUS, run_corpus
 
@@ -25,41 +32,50 @@ task length A B
 """
 
 
-@pytest.fixture
-def budget_guard():
-    saved = (
-        BUDGET.max_basis,
-        BUDGET.max_pairs,
-        BUDGET.truncation_cap,
-        BUDGET.saturation_cap,
-    )
-    yield
-    (
-        BUDGET.max_basis,
-        BUDGET.max_pairs,
-        BUDGET.truncation_cap,
-        BUDGET.saturation_cap,
-    ) = saved
+# B is not homogeneous, so its length goes through the truncation path,
+# the one reader of the truncation cap; the length is 2 at the defaults
+TRUNCATION_SESSION = """\
+ring q[x,y]
+ideal A = x, y
+ideal B = x + y^2, y^3
+task length A B
+"""
 
 
-def test_budget_env_bare_integer(budget_guard):
-    _apply_budget_env("123")
-    assert BUDGET.max_basis == 123
+def test_budget_env_bare_integer():
+    assert _apply_budget_env("123").max_basis == 123
 
 
-def test_budget_env_pairs(budget_guard):
-    _apply_budget_env("basis=11,pairs=22,truncation=33,saturation=44")
-    assert BUDGET.max_basis == 11
-    assert BUDGET.max_pairs == 22
-    assert BUDGET.truncation_cap == 33
-    assert BUDGET.saturation_cap == 44
+def test_budget_env_pairs():
+    budget = _apply_budget_env("basis=11,pairs=22,truncation=33,saturation=44")
+    assert budget.max_basis == 11
+    assert budget.max_pairs == 22
+    assert budget.truncation_cap == 33
+    assert budget.saturation_cap == 44
 
 
-def test_budget_env_rejects_garbage(budget_guard):
+def test_budget_env_rejects_garbage():
     with pytest.raises(ValueError):
         _apply_budget_env("basis=many")
     with pytest.raises(ValueError):
         _apply_budget_env("speed=9")
+
+
+def test_budget_is_scoped_to_one_invocation(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "s.txt"
+    src.write_text(TRUNCATION_SESSION)
+    monkeypatch.setenv("REESLAB_BUDGET", "truncation=2")
+    assert main(["run", str(src)]) == 1
+    out = capsys.readouterr().out
+    assert "LengthCertificationError" in out
+    assert "REESLAB_BUDGET truncation=" in out
+    # the tripped cap does not outlive the invocation
+    report = run_session(parse_session(TRUNCATION_SESSION))
+    assert report["ok"] is True
+    assert report["tasks"][0]["length"] == 2
+    assert BUDGET == ResourceBudget()
+    with pytest.raises(FrozenInstanceError):
+        BUDGET.max_basis = BUDGET.max_basis
 
 
 def test_override_nmax():
@@ -105,7 +121,7 @@ def test_run_parse_error(tmp_path, capsys):
     assert "task kind" in capsys.readouterr().err
 
 
-def test_run_budget_flag_trips(tmp_path, capsys, budget_guard):
+def test_run_budget_flag_trips(tmp_path, capsys):
     # monomial work never grows the basis, so use a pair whose
     # computation genuinely appends new elements
     src = tmp_path / "s.txt"
@@ -115,13 +131,45 @@ def test_run_budget_flag_trips(tmp_path, capsys, budget_guard):
     assert "ResourceBudgetError" in capsys.readouterr().out
 
 
-def test_run_env_budget_malformed(tmp_path, capsys, budget_guard, monkeypatch):
+def test_run_env_budget_malformed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("REESLAB_BUDGET", "nope")
     src = tmp_path / "s.txt"
     src.write_text(GOOD_SESSION)
     code = main(["run", str(src)])
     assert code == 2
     assert "REESLAB_BUDGET" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_run_budget_flag_rejects_nonpositive(tmp_path, capsys, value):
+    src = tmp_path / "s.txt"
+    src.write_text(GOOD_SESSION)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", str(src), "--budget-gb-size", value])
+    assert exit_info.value.code == 2
+    assert "--budget-gb-size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["basis=0", "0", "pairs=-5"])
+def test_run_env_budget_rejects_nonpositive(
+    tmp_path, capsys, monkeypatch, value
+):
+    monkeypatch.setenv("REESLAB_BUDGET", value)
+    src = tmp_path / "s.txt"
+    src.write_text(GOOD_SESSION)
+    assert main(["run", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert "REESLAB_BUDGET" in err
+    assert "positive integer" in err
+
+
+def test_run_negative_nmax_rejected(tmp_path, capsys):
+    src = tmp_path / "s.txt"
+    src.write_text(GOOD_SESSION)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", str(src), "--nmax", "-1"])
+    assert exit_info.value.code == 2
+    assert "--nmax" in capsys.readouterr().err
 
 
 def test_corpus_all_pass():

@@ -131,11 +131,19 @@ def test_spoly_certificate_random():
 
 def test_budget_error():
     tiny = ResourceBudget(max_basis=1, max_pairs=200000)
-    with pytest.raises(ResourceBudgetError):
+    with pytest.raises(ResourceBudgetError, match="REESLAB_BUDGET basis="):
         buchberger((x**2 - y, x * y - 1), budget=tiny)
     tiny_pairs = ResourceBudget(max_basis=5000, max_pairs=0)
-    with pytest.raises(ResourceBudgetError):
+    with pytest.raises(ResourceBudgetError, match="REESLAB_BUDGET pairs="):
         buchberger((x**2 - y, x * y - 1), budget=tiny_pairs)
+    # this saturation needs one colon step
+    no_steps = ResourceBudget(saturation_cap=0)
+    with pytest.raises(
+        ResourceBudgetError, match="REESLAB_BUDGET saturation="
+    ):
+        saturation(
+            Ideal(R, (x * y**2, x**2 * y)), Ideal(R, (x, y)), budget=no_steps
+        )
 
 
 def test_membership_and_unit():

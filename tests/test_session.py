@@ -30,16 +30,6 @@ task filtration explicit I,J J,J
 """
 
 
-def strip_timing(node):
-    if isinstance(node, dict):
-        return {
-            k: strip_timing(v) for k, v in node.items() if k != "elapsed_ms"
-        }
-    if isinstance(node, list):
-        return [strip_timing(v) for v in node]
-    return node
-
-
 def assert_no_floats(node, path="$"):
     if isinstance(node, bool):
         return
@@ -168,10 +158,3 @@ def test_zero_degree_marker():
     assert task["degree"] == "ZERO"
     assert task["fit"]["degree"] == "ZERO"
     jsonschema.validate(report, REPORT_SCHEMA)
-
-
-def test_parallel_matches_serial():
-    session = parse_session(FULL_TEXT)
-    serial = run_session(session, jobs=1)
-    parallel = run_session(session, jobs=4)
-    assert strip_timing(serial) == strip_timing(parallel)
