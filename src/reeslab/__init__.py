@@ -37,6 +37,7 @@ from .filtrations import (
 )
 from .groebner import (
     BUDGET,
+    DivisorTable,
     GroebnerBasis,
     Ideal,
     ResourceBudget,

@@ -84,6 +84,32 @@ def _task_line(record):
     return f"[error] {label}: {err['type']}: {err['message']}"
 
 
+def _emit(lines):
+    """Print and flush the lines.  When the reader has gone away, as
+    `head` does, the rest of the output goes to the null device, so
+    neither this nor the interpreter's final flush raises again."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _write_json(path, data):
+    """Write data as JSON; False, with a message, if path is unwritable."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(data, handle, indent=2)
+            handle.write("\n")
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_run(args):
     try:
         with open(args.session, encoding="utf-8") as handle:
@@ -99,16 +125,15 @@ def _cmd_run(args):
     if args.nmax is not None:
         _override_nmax(session, args.nmax)
     report = run_session(session)
-    for record in report["tasks"]:
-        print(_task_line(record))
+    code = 0 if report["ok"] else 1
+    _emit(_task_line(record) for record in report["tasks"])
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        print(f"report written to {args.json}")
+        if not _write_json(args.json, report):
+            return 2
+        _emit([f"report written to {args.json}"])
     else:
-        print(json.dumps(report, indent=2))
-    return 0 if report["ok"] else 1
+        _emit([json.dumps(report, indent=2)])
+    return code
 
 
 def _cmd_verify(args):
@@ -127,10 +152,8 @@ def _cmd_verify(args):
             )
     total = result["passed"] + result["failed"]
     print(f"{result['passed']}/{total} checks passed")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(result, handle, indent=2)
-            handle.write("\n")
+    if args.json and not _write_json(args.json, result):
+        return 2
     return 0 if result["failed"] == 0 else 1
 
 

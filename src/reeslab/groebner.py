@@ -6,10 +6,19 @@ is easier to certify than a clever one.  Everything is deterministic:
 a fixed S-pair strategy, canonical sorting of reduced bases, no
 randomness.  Iterative loops run under a budget; exceeding it raises
 ResourceBudgetError rather than returning a silently truncated answer.
+
+Division reads its divisors from a `DivisorTable`: each divisor's lead
+degree, order key of the lead, index, lead exponents, inverted leading
+coefficient and terms, sorted on (lead degree, order key, index).  A
+basis prepares its table once and reuses it for every division: the
+growing basis of `buchberger`, the minimal basis in `_reduce_basis`,
+the kept list of `interreduce` and a finished `GroebnerBasis` each hold
+one (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2 §3).
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -67,29 +76,81 @@ def monic(f, order=DEFAULT_ORDER):
     return Polynomial(f.ring, {e: mul(c, inv) for e, c in f.terms.items()})
 
 
+class DivisorTable:
+    """The leading data of a divisor list, prepared once for many divisions.
+
+    `entries` holds one tuple per nonzero divisor: (lead degree, order
+    key of the lead, index, lead exponents, inverse of the leading
+    coefficient or None when it is one, terms).  The entries stay
+    sorted on (lead degree, order key of the lead, index), so low-degree
+    leads come first and the scan in `divide` can stop at the first lead
+    of higher degree than the term it reduces.  The index is the
+    divisor's position in the list it came from; quotients are reported
+    in that order.  `add` gives each new divisor the next index and
+    inserts it on the same key, so a table grown one divisor at a time
+    has the order of a table built over the whole list at once.
+    """
+
+    __slots__ = ("ring", "order", "entries", "size")
+
+    def __init__(self, divisors=(), order=DEFAULT_ORDER):
+        self.ring = None
+        self.order = order
+        self.entries = []
+        self.size = 0
+        for g in divisors:
+            entry = self._entry(g)
+            if entry is not None:
+                self.entries.append(entry)
+        self.entries.sort()
+
+    def _entry(self, g):
+        idx = self.size
+        self.size += 1
+        if g.is_zero:
+            return None
+        if self.ring is None:
+            self.ring = g.ring
+        elif g.ring != self.ring:
+            raise RingMismatchError(f"{self.ring!r} vs {g.ring!r}")
+        le, lc = leading_term(g, self.order)
+        field = g.ring.field
+        lc_inv = None if lc == field.one else field.invert(lc)
+        return (sum(le), self.order.key(le), idx, le, lc_inv, g.terms)
+
+    def add(self, g):
+        """Append the nonzero g as the next divisor; returns its lead."""
+        entry = self._entry(g)
+        bisect.insort(self.entries, entry)
+        return entry[3]
+
+
 def divide(f, divisors, order=DEFAULT_ORDER, with_quotients=False):
     """Multivariate division: f = sum(q_i * divisors[i]) + remainder.
 
+    `divisors` is a list of polynomials or a `DivisorTable` prepared for
+    the same order; a list is turned into a table once, at the top of
+    the call.  Each term is reduced by the first divisor in table order,
+    (lead degree, order key of the lead, index), whose lead divides it.
     No remainder term is divisible by the leading term of any divisor.
     Quotients are tracked only on request; the first return value is
     None otherwise.  Candidate terms live in a max-heap keyed by the
     order, with stale entries skipped lazily.
     """
+    if not isinstance(divisors, DivisorTable):
+        divisors = DivisorTable(divisors, order)
+    elif divisors.order != order:
+        raise ValueError(
+            f"divisor table prepared for {divisors.order!r}, not {order!r}"
+        )
     ring = f.ring
+    if divisors.ring is not None and divisors.ring != ring:
+        raise RingMismatchError(f"{ring!r} vs {divisors.ring!r}")
     field = ring.field
     key = order.key
     zero = field.zero
-    divs = []
-    for idx, g in enumerate(divisors):
-        if g.is_zero:
-            continue
-        if g.ring != ring:
-            raise RingMismatchError(f"{ring!r} vs {g.ring!r}")
-        le, lc = leading_term(g, order)
-        divs.append((sum(le), le, field.invert(lc), g.terms, idx))
-    # low-degree leads first so the degree early-break below is sharp
-    divs.sort(key=lambda d: (d[0], key(d[1]), d[4]))
-    quotients = [{} for _ in divisors] if with_quotients else None
+    table = divisors.entries
+    quotients = [{} for _ in range(divisors.size)] if with_quotients else None
     work = dict(f.terms)
     heap = [(tuple(-c for c in key(e)), e) for e in work]
     heapq.heapify(heap)
@@ -101,12 +162,12 @@ def divide(f, divisors, order=DEFAULT_ORDER, with_quotients=False):
             continue
         deg = sum(exps)
         reduced = False
-        for lead_deg, le, lc_inv, gterms, idx in divs:
+        for lead_deg, _, idx, le, lc_inv, gterms in table:
             if lead_deg > deg:
                 break
             if all(a >= b for a, b in zip(exps, le)):
                 shift = tuple(a - b for a, b in zip(exps, le))
-                factor = field.mul(coeff, lc_inv)
+                factor = coeff if lc_inv is None else field.mul(coeff, lc_inv)
                 if with_quotients:
                     q = quotients[idx]
                     acc = field.add(q.get(shift, zero), factor)
@@ -145,8 +206,7 @@ def divide(f, divisors, order=DEFAULT_ORDER, with_quotients=False):
 def normal_form(f, divisors, order=DEFAULT_ORDER):
     """Remainder of f on division by the given polynomials."""
     if isinstance(divisors, GroebnerBasis):
-        order = divisors.order
-        divisors = divisors.polys
+        return divisors.normal_form(f)
     return divide(f, divisors, order)[1]
 
 
@@ -193,6 +253,7 @@ def buchberger(gens, order=DEFAULT_ORDER, budget=None):
         return []
     key = order.key
     leads = [leading_term(g, order)[0] for g in basis]
+    table = DivisorTable(basis, order)
     heap = []
     pending = set()
     pushes = 0
@@ -235,51 +296,58 @@ def buchberger(gens, order=DEFAULT_ORDER, budget=None):
                 break
         if skip:
             continue
-        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        _, r = divide(s_polynomial(basis[i], basis[j], order), table, order)
         if r.is_zero:
             continue
-        basis.append(monic(r, order))
-        leads.append(leading_term(r, order)[0])
+        g = monic(r, order)
+        basis.append(g)
+        leads.append(table.add(g))
         if len(basis) > budget.max_basis:
             raise ResourceBudgetError(
                 f"basis size budget {budget.max_basis} exceeded; "
                 "raise REESLAB_BUDGET basis=N"
             )
         queue_pairs(len(basis) - 1)
-    return _reduce_basis(basis, order)
+    return _reduce_basis(basis, leads, order)
 
 
-def _reduce_basis(basis, order):
-    # minimalize, tail-reduce each element against the rest, sort
+def _reduce_basis(basis, leads, order):
+    # minimalize, then tail-reduce every element against one table of the
+    # minimal basis; an element may stay in the table its own tail is
+    # reduced against, because no term below a lead is divisible by it
     key = order.key
-    by_lead = sorted(basis, key=lambda g: key(leading_term(g, order)[0]))
     minimal = []
     min_leads = []
-    for g in by_lead:
-        lg = leading_term(g, order)[0]
+    for lg, g in sorted(zip(leads, basis), key=lambda t: key(t[0])):
         if any(_divides(l, lg) for l in min_leads):
             continue
         minimal.append(g)
         min_leads.append(lg)
+    if len(minimal) == 1:
+        return minimal
+    table = DivisorTable(minimal, order)
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        r = normal_form(g, others, order) if others else g
-        reduced.append(monic(r, order))
-    reduced.sort(key=lambda g: key(leading_term(g, order)[0]))
+    for lg, g in zip(min_leads, minimal):
+        tail = dict(g.terms)
+        terms = {lg: tail.pop(lg)}
+        _, r = divide(Polynomial(g.ring, tail), table, order)
+        terms.update(r.terms)
+        reduced.append(Polynomial(g.ring, terms))
+    # the leads are those of `minimal`, already ascending in the order
     return reduced
 
 
 class GroebnerBasis:
     """A reduced basis with its order; iterates over the polynomials."""
 
-    __slots__ = ("ring", "order", "polys", "lead_exps")
+    __slots__ = ("ring", "order", "polys", "lead_exps", "table")
 
     def __init__(self, ring, order, polys):
         self.ring = ring
         self.order = order
         self.polys = tuple(polys)
         self.lead_exps = tuple(leading_term(p, order)[0] for p in self.polys)
+        self.table = DivisorTable(self.polys, order)
 
     def __iter__(self):
         return iter(self.polys)
@@ -288,7 +356,7 @@ class GroebnerBasis:
         return len(self.polys)
 
     def normal_form(self, f):
-        return divide(f, self.polys, self.order)[1]
+        return divide(f, self.table, self.order)[1]
 
     def contains(self, f):
         if f.is_zero:
@@ -449,10 +517,12 @@ def interreduce(polys, order=DEFAULT_ORDER):
         return live
     live.sort(key=lambda g: order.key(leading_term(g, order)[0]))
     kept = []
+    table = DivisorTable((), order)
     for g in live:
-        r = normal_form(g, kept, order) if kept else g
+        r = divide(g, table, order)[1] if kept else g
         if not r.is_zero:
             kept.append(monic(r, order))
+            table.add(kept[-1])
     return kept
 
 

@@ -1,6 +1,8 @@
 """Command line behaviour, budget knobs, and the bundled corpus."""
 
 import json
+import os
+import sys
 from dataclasses import FrozenInstanceError
 
 import jsonschema
@@ -107,6 +109,38 @@ def test_run_task_error_exit_code(tmp_path, capsys):
     assert "[error] length A B" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "text, code", [(GOOD_SESSION, 0), (BAD_TASK_SESSION, 1)]
+)
+def test_run_reader_gone(tmp_path, monkeypatch, text, code):
+    # `reeslab run S | head -1`: every write to stdout raises
+    # BrokenPipeError once the reader has closed its end
+    src = tmp_path / "s.txt"
+    src.write_text(text)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout = os.fdopen(write_end, "w", buffering=1)
+    try:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["run", str(src)]) == code
+        # later writes and the final flush go nowhere, quietly
+        print("more")
+        stdout.flush()
+    finally:
+        monkeypatch.undo()
+        stdout.close()
+
+
+def test_run_json_unwritable(tmp_path, capsys):
+    src = tmp_path / "s.txt"
+    src.write_text(GOOD_SESSION)
+    out = tmp_path / "missing" / "report.json"
+    assert main(["run", str(src), "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"cannot write {out}" in captured.err
+    assert "[ok] length I J" in captured.out
+
+
 def test_run_missing_file(tmp_path, capsys):
     code = main(["run", str(tmp_path / "absent.txt")])
     assert code == 2
@@ -210,6 +244,15 @@ def test_verify_cli(tmp_path, capsys):
     assert "checks passed" in stdout
     data = json.loads(out.read_text())
     assert data["failed"] == 0
+
+
+def test_verify_cli_json_unwritable(tmp_path, capsys):
+    out = tmp_path / "missing" / "checks.json"
+    code = main(["verify-paper", "--filter", "deg1", "--json", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"cannot write {out}" in captured.err
+    assert "4/4 checks passed" in captured.out
 
 
 def test_verify_cli_unknown_tag(capsys):

@@ -18,10 +18,13 @@ from oracle import (
 from reeslab import (
     BUDGET,
     leading_term,
+    BlockElimination,
+    DivisorTable,
     GrevLex,
     Ideal,
     Lex,
     PolyRing,
+    PrimeField,
     RationalField,
     ResourceBudget,
     ResourceBudgetError,
@@ -43,6 +46,7 @@ from reeslab import (
     saturation,
     unit_ideal,
     zero_ideal,
+    WeightedGrevLex,
 )
 
 R = PolyRing(("x", "y"), RationalField())
@@ -81,6 +85,78 @@ def test_division_keeps_irreducible_heads():
     assert rem == 2 * y
     _, rem2 = divide(y**2 + x, [y**3 - 1])
     assert rem2 == y**2 + x
+
+
+def _table_orders(nvars):
+    weights = (2,) + (1,) * (nvars - 1)
+    return [GrevLex(), Lex(), BlockElimination(1), WeightedGrevLex(weights)]
+
+
+def test_prepared_divisors_match_list_division():
+    rng = random.Random(41)
+    rings = [
+        PolyRing(names, field)
+        for names in (("x", "y"), ("x", "y", "z"))
+        for field in (RationalField(), PrimeField(32003))
+    ]
+    for trial in range(40):
+        ring = rings[trial % len(rings)]
+        order = _table_orders(ring.nvars)[trial // len(rings) % 4]
+        gens = [
+            random_sparse_poly(rng, ring, 3, 3)
+            for _ in range(rng.randint(1, 3))
+        ]
+        gb = Ideal(ring, gens).groebner(order)
+        divisors = [
+            random_sparse_poly(rng, ring, 3, 3)
+            for _ in range(rng.randint(1, 4))
+        ]
+        divisors.insert(rng.randrange(len(divisors) + 1), ring.zero)
+        table = DivisorTable(divisors, order)
+        leads = [leading_term(g, order)[0] for g in divisors if not g.is_zero]
+        for _ in range(3):
+            f = random_sparse_poly(rng, ring, 5, 5)
+            assert gb.normal_form(f) == divide(f, list(gb.polys), order)[1]
+            quotients, rem = divide(f, table, order, with_quotients=True)
+            assert (quotients, rem) == divide(
+                f, divisors, order, with_quotients=True
+            )
+            assert len(quotients) == len(divisors)
+            rebuilt = rem
+            for q, g in zip(quotients, divisors):
+                rebuilt = rebuilt + q * g
+            assert rebuilt == f
+            for exps in rem.terms:
+                assert not any(
+                    all(a >= b for a, b in zip(exps, le)) for le in leads
+                )
+    with pytest.raises(ValueError, match="prepared for"):
+        divide(x + y, DivisorTable([x], Lex()), GrevLex())
+
+
+def test_divisor_table_grown_one_by_one_keeps_its_order():
+    # buchberger adds each new basis element to its table; the scan
+    # order, and so every remainder and basis, must be that of a table
+    # built over the whole list at once
+    rng = random.Random(43)
+    for trial in range(20):
+        ring = R if trial % 2 else R3
+        order = _table_orders(ring.nvars)[trial // 2 % 4]
+        polys = []
+        while len(polys) < 8:
+            p = random_sparse_poly(rng, ring, 3, 3)
+            if len(p.terms) > 1:
+                polys.append(p)
+                if rng.random() < 0.3:
+                    # another element with the same lead, which only
+                    # the index orders
+                    polys.append(2 * p + 1)
+        grown = DivisorTable((), order)
+        for g in polys:
+            assert grown.add(g) == leading_term(g, order)[0]
+        whole = DivisorTable(polys, order)
+        assert [e[:4] for e in grown.entries] == [e[:4] for e in whole.entries]
+        assert grown.size == whole.size == len(polys)
 
 
 def test_lex_groebner_classic():
