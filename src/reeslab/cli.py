@@ -37,13 +37,13 @@ def _apply_budget_env(text):
     text = text.strip()
     if not text:
         return BUDGET
-    if text.isdigit():
+    if text.isdecimal():
         text = f"basis={text}"
     caps = {}
     for part in text.split(","):
         key, _, value = part.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _BUDGET_KEYS or not value.isdigit() or int(value) < 1:
+        if key not in _BUDGET_KEYS or not value.isdecimal() or int(value) < 1:
             raise ValueError(
                 f"bad REESLAB_BUDGET entry {part!r}; use "
                 "basis=N,pairs=N,truncation=N,saturation=N or a bare "

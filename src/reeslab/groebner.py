@@ -8,12 +8,23 @@ randomness.  Iterative loops run under a budget; exceeding it raises
 ResourceBudgetError rather than returning a silently truncated answer.
 
 Division reads its divisors from a `DivisorTable`: each divisor's lead
-degree, order key of the lead, index, lead exponents, inverted leading
-coefficient and terms, sorted on (lead degree, order key, index).  A
+degree, order key of the lead, index, lead exponents and an integer
+form of the divisor, sorted on (lead degree, order key, index).  A
 basis prepares its table once and reuses it for every division: the
 growing basis of `buchberger`, the minimal basis in `_reduce_basis`,
 the kept list of `interreduce` and a finished `GroebnerBasis` each hold
 one (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2 §3).
+
+Division runs on Python ints for both fields, in one loop.  Over Q a
+divisor is stored primitive, with integer coefficients, and the
+polynomial being divided keeps integer coefficients over one common
+denominator; each reduction step scales both by L/gcd(c, L) before it
+subtracts, which is fraction-free reduction with primitive divisors
+(Geddes-Czapor-Labahn, Algorithms for Computer Algebra, §2.8 and
+ch. 10).  Over GF(p) the divisors are monic and the denominator stays
+1.  The remainder and quotients are the exact ones of division over
+the field, since the scaling never changes the polynomial the integers
+stand for.
 """
 
 from __future__ import annotations
@@ -23,6 +34,8 @@ import heapq
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, ge, neg, sub
 
 from .errors import ResourceBudgetError, RingMismatchError
 from .ring import (
@@ -30,6 +43,7 @@ from .ring import (
     BlockElimination,
     PolyRing,
     Polynomial,
+    PrimeField,
     leading_term,
     poly_str,
     total_degree,
@@ -79,16 +93,24 @@ def monic(f, order=DEFAULT_ORDER):
 class DivisorTable:
     """The leading data of a divisor list, prepared once for many divisions.
 
-    `entries` holds one tuple per nonzero divisor: (lead degree, order
-    key of the lead, index, lead exponents, inverse of the leading
-    coefficient or None when it is one, terms).  The entries stay
-    sorted on (lead degree, order key of the lead, index), so low-degree
-    leads come first and the scan in `divide` can stop at the first lead
-    of higher degree than the term it reduces.  The index is the
-    divisor's position in the list it came from; quotients are reported
-    in that order.  `add` gives each new divisor the next index and
-    inserts it on the same key, so a table grown one divisor at a time
-    has the order of a table built over the whole list at once.
+    `entries` holds one tuple per nonzero divisor g: (lead degree, order
+    key of the lead, index, lead exponents, L, tail, kappa).  The last
+    three describe the integer form g~ = kappa*g that `divide` subtracts:
+    L is its leading coefficient, a positive int, and `tail` lists its
+    other terms as (exponents, -coefficient) pairs of ints.  Over Q, g~
+    is primitive: its integer coefficients have no common factor.  Over
+    GF(p), g~ is monic, so L is 1 and the tail holds residues in
+    [0, p).  Only quotients read kappa; it is the int 1 when g~ is g.
+    A monomial becomes the monomial with L = 1 and an empty tail.
+
+    The entries stay sorted on (lead degree, order key of the lead,
+    index), so low-degree leads come first and the scan in `divide` can
+    stop at the first lead of higher degree than the term it reduces.
+    The index is the divisor's position in the list it came from;
+    quotients are reported in that order.  `add` gives each new divisor
+    the next index and inserts it on the same key, so a table grown one
+    divisor at a time has the order of a table built over the whole list
+    at once.
     """
 
     __slots__ = ("ring", "order", "entries", "size")
@@ -115,8 +137,25 @@ class DivisorTable:
             raise RingMismatchError(f"{self.ring!r} vs {g.ring!r}")
         le, lc = leading_term(g, self.order)
         field = g.ring.field
-        lc_inv = None if lc == field.one else field.invert(lc)
-        return (sum(le), self.order.key(le), idx, le, lc_inv, g.terms)
+        terms = g.terms
+        if len(terms) == 1:
+            lead, tail = 1, ()
+            kappa = 1 if lc == field.one else field.invert(lc)
+        elif isinstance(field, PrimeField):
+            p = field.p
+            lead = 1
+            kappa = 1 if lc == 1 else field.invert(lc)
+            tail = tuple((e, -c * kappa % p) for e, c in terms.items() if e != le)
+        else:
+            den = lcm(*(c.denominator for c in terms.values()))
+            nums = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+            content = gcd(*nums.values())
+            if lc < 0:
+                content = -content
+            lead = nums.pop(le) // content
+            tail = tuple((e, -(n // content)) for e, n in nums.items())
+            kappa = 1 if den == content else Fraction(den, content)
+        return (sum(le), self.order.key(le), idx, le, lead, tail, kappa)
 
     def add(self, g):
         """Append the nonzero g as the next divisor; returns its lead."""
@@ -135,7 +174,19 @@ def divide(f, divisors, order=DEFAULT_ORDER, with_quotients=False):
     No remainder term is divisible by the leading term of any divisor.
     Quotients are tracked only on request; the first return value is
     None otherwise.  Candidate terms live in a max-heap keyed by the
-    order, with stale entries skipped lazily.
+    order.
+
+    The arithmetic is on ints, for both fields.  The working polynomial
+    is kept as `work`/s: integer coefficients over one common
+    denominator s, which starts as the lcm of f's denominators (1 over
+    GF(p)).  A term c*x^a is reduced by the integer form g~ of its
+    divisor, with lead L, as follows: with h = gcd(c, L), `work` and s
+    are both multiplied by L/h, which leaves work/s unchanged, and then
+    (c/h)*x^shift*g~ is subtracted, which cancels the term exactly.  So
+    work/s is always f minus the quotients found so far times their
+    divisors, and a term that no lead divides leaves as the exact
+    remainder coefficient c/s.  Over GF(p), L is 1, s stays 1 and every
+    coefficient is read modulo p when its term is reached.
     """
     if not isinstance(divisors, DivisorTable):
         divisors = DivisorTable(divisors, order)
@@ -147,56 +198,57 @@ def divide(f, divisors, order=DEFAULT_ORDER, with_quotients=False):
     if divisors.ring is not None and divisors.ring != ring:
         raise RingMismatchError(f"{ring!r} vs {divisors.ring!r}")
     field = ring.field
+    p = field.p if isinstance(field, PrimeField) else 0  # 0 over Q
     key = order.key
-    zero = field.zero
+    heappush = heapq.heappush
     table = divisors.entries
     quotients = [{} for _ in range(divisors.size)] if with_quotients else None
-    work = dict(f.terms)
-    heap = [(tuple(-c for c in key(e)), e) for e in work]
+    s = lcm(*(c.denominator for c in f.terms.values()))
+    work = {e: c.numerator * (s // c.denominator) for e, c in f.terms.items()}
+    # each exponent in `work` has exactly one heap entry: a reduction only
+    # adds terms below the one it reduces, which are not yet popped
+    heap = [(tuple(map(neg, key(e))), e) for e in work]
     heapq.heapify(heap)
     remainder = {}
     while heap:
         _, exps = heapq.heappop(heap)
-        coeff = work.pop(exps, None)
-        if coeff is None:
+        c = work.pop(exps)
+        if p:
+            c %= p
+        if not c:
             continue
         deg = sum(exps)
         reduced = False
-        for lead_deg, _, idx, le, lc_inv, gterms in table:
+        for lead_deg, _, idx, le, lead, tail, kappa in table:
             if lead_deg > deg:
                 break
-            if all(a >= b for a, b in zip(exps, le)):
-                shift = tuple(a - b for a, b in zip(exps, le))
-                factor = coeff if lc_inv is None else field.mul(coeff, lc_inv)
+            if all(map(ge, exps, le)):
+                shift = tuple(map(sub, exps, le))
+                if lead != 1:
+                    h = gcd(c, lead)
+                    m = lead // h
+                    c //= h
+                    if m != 1:
+                        s *= m
+                        for e in work:
+                            work[e] *= m
                 if with_quotients:
-                    q = quotients[idx]
-                    acc = field.add(q.get(shift, zero), factor)
-                    if acc == zero:
-                        q.pop(shift, None)
-                    else:
-                        q[shift] = acc
-                for ge, gc in gterms.items():
-                    tgt = tuple(a + b for a, b in zip(shift, ge))
-                    if tgt == exps:
-                        continue
+                    factor = c if p else Fraction(c, s)
+                    if kappa != 1:
+                        factor = field.mul(factor, kappa)
+                    quotients[idx][shift] = factor
+                for te, tc in tail:
+                    tgt = tuple(map(add, shift, te))
                     old = work.get(tgt)
                     if old is None:
-                        val = field.neg(field.mul(factor, gc))
-                        if val != zero:
-                            work[tgt] = val
-                            heapq.heappush(
-                                heap, (tuple(-c for c in key(tgt)), tgt)
-                            )
+                        work[tgt] = c * tc
+                        heappush(heap, (tuple(map(neg, key(tgt))), tgt))
                     else:
-                        val = field.sub(old, field.mul(factor, gc))
-                        if val == zero:
-                            del work[tgt]
-                        else:
-                            work[tgt] = val
+                        work[tgt] = old + c * tc
                 reduced = True
                 break
         if not reduced:
-            remainder[exps] = coeff
+            remainder[exps] = c if p else Fraction(c, s)
     rem = Polynomial(ring, remainder)
     if not with_quotients:
         return None, rem
@@ -214,15 +266,22 @@ def s_polynomial(f, g, order=DEFAULT_ORDER):
     """Cancel the leading terms of f and g against their lcm."""
     ef, cf = leading_term(f, order)
     eg, cg = leading_term(g, order)
-    lcm = _exps_lcm(ef, eg)
+    lcm_exps = _exps_lcm(ef, eg)
+    return _monic_multiple(f, ef, cf, lcm_exps) - _monic_multiple(
+        g, eg, cg, lcm_exps
+    )
+
+
+def _monic_multiple(f, lead, lc, target):
+    # x^(target - lead) * f / lc, whose leading term is x^target; the
+    # inversion and the scaling are skipped when lc is one
+    shift = tuple(t - e for t, e in zip(target, lead))
     field = f.ring.field
-    a = Polynomial(
-        f.ring, {tuple(l - e for l, e in zip(lcm, ef)): field.invert(cf)}
-    )
-    b = Polynomial(
-        g.ring, {tuple(l - e for l, e in zip(lcm, eg)): field.invert(cg)}
-    )
-    return a * f - b * g
+    terms = {tuple(a + b for a, b in zip(e, shift)): c for e, c in f.terms.items()}
+    if lc != field.one:
+        inv = field.invert(lc)
+        terms = {e: field.mul(c, inv) for e, c in terms.items()}
+    return Polynomial(f.ring, terms)
 
 
 def buchberger(gens, order=DEFAULT_ORDER, budget=None):

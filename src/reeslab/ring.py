@@ -430,10 +430,6 @@ def leading_term(f, order=DEFAULT_ORDER):
     return e, f.terms[e]
 
 
-def leading_monomial(f, order=DEFAULT_ORDER):
-    return leading_term(f, order)[0]
-
-
 def _coeff_str(c, allow_fractions):
     if isinstance(c, Fraction):
         if c.denominator == 1:

@@ -197,6 +197,18 @@ def test_run_env_budget_rejects_nonpositive(
     assert "positive integer" in err
 
 
+@pytest.mark.parametrize("value", ["\u00b2", "basis=\u00b2", "pairs=1\u00b2"])
+def test_run_env_budget_rejects_non_decimal_digits(
+    tmp_path, capsys, monkeypatch, value
+):
+    # str.isdigit accepts a superscript two, which int() refuses
+    monkeypatch.setenv("REESLAB_BUDGET", value)
+    src = tmp_path / "s.txt"
+    src.write_text(GOOD_SESSION)
+    assert main(["run", str(src)]) == 2
+    assert "bad REESLAB_BUDGET entry" in capsys.readouterr().err
+
+
 def test_run_negative_nmax_rejected(tmp_path, capsys):
     src = tmp_path / "s.txt"
     src.write_text(GOOD_SESSION)

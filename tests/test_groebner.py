@@ -24,6 +24,7 @@ from reeslab import (
     Ideal,
     Lex,
     PolyRing,
+    Polynomial,
     PrimeField,
     RationalField,
     ResourceBudget,
@@ -48,6 +49,7 @@ from reeslab import (
     zero_ideal,
     WeightedGrevLex,
 )
+from reeslab.groebner import monic
 
 R = PolyRing(("x", "y"), RationalField())
 x, y = R.gens()
@@ -132,6 +134,136 @@ def test_prepared_divisors_match_list_division():
                 )
     with pytest.raises(ValueError, match="prepared for"):
         divide(x + y, DivisorTable([x], Lex()), GrevLex())
+
+
+def textbook_divide(f, divisors, order):
+    """Division over the field, one coefficient at a time.
+
+    Cox-Little-O'Shea, ch. 2 §3, with field elements throughout; the
+    divisors are tried in the order (lead degree, order key, index) that
+    `divide` documents, so the quotients must agree term for term.
+    """
+    field = f.ring.field
+    zero = field.zero
+    ranked = sorted(
+        (sum(le), order.key(le), i, le, lc)
+        for i, g in enumerate(divisors)
+        if not g.is_zero
+        for le, lc in [leading_term(g, order)]
+    )
+    quotients = [{} for _ in divisors]
+    work, remainder = dict(f.terms), {}
+    while work:
+        exps = max(work, key=order.key)
+        for _, _, i, le, lc in ranked:
+            if all(a >= b for a, b in zip(exps, le)):
+                shift = tuple(a - b for a, b in zip(exps, le))
+                factor = field.mul(work[exps], field.invert(lc))
+                quotients[i][shift] = factor
+                for e, c in divisors[i].terms.items():
+                    t = tuple(a + b for a, b in zip(shift, e))
+                    v = field.sub(work.get(t, zero), field.mul(factor, c))
+                    if v == zero:
+                        work.pop(t, None)
+                    else:
+                        work[t] = v
+                break
+        else:
+            remainder[exps] = work.pop(exps)
+    ring = f.ring
+    return [Polynomial(ring, q) for q in quotients], Polynomial(ring, remainder)
+
+
+def _big_coefficient(rng, p):
+    # numerators up to 10^30, denominators up to 10^6, none divisible by p
+    while True:
+        den = rng.randint(1, 10**6)
+        if not p or den % p:
+            return Fraction(rng.randint(-(10**30), 10**30) or 1, den)
+
+
+def _non_monic(rng, ring, order, lead_coeff, max_terms, max_deg):
+    p = getattr(ring.field, "p", 0)
+    g = random_sparse_poly(rng, ring, max_terms, max_deg)
+    terms = {e: _big_coefficient(rng, p) for e in g.terms}
+    le, _ = leading_term(g, order)
+    terms[le] = lead_coeff
+    return ring.from_terms(terms)
+
+
+def test_integer_division_matches_textbook_fractions():
+    rng = random.Random(47)
+    rings = [
+        PolyRing(names, field)
+        for names in (("x", "y"), ("x", "y", "z"))
+        for field in (RationalField(), PrimeField(32003))
+    ]
+    leads = [2, 3, Fraction(-7, 5), 1, Fraction(10**30, 999983)]
+    for trial in range(48):
+        ring = rings[trial % len(rings)]
+        order = _table_orders(ring.nvars)[trial // len(rings) % 4]
+        divisors = [
+            _non_monic(rng, ring, order, rng.choice(leads), 4, 3)
+            for _ in range(rng.randint(1, 4))
+        ]
+        table = DivisorTable(divisors, order)
+        for _ in range(3):
+            f = _non_monic(rng, ring, order, rng.choice(leads), 8, 5)
+            expected = textbook_divide(f, divisors, order)
+            assert divide(f, divisors, order, with_quotients=True) == expected
+            assert divide(f, table, order, with_quotients=True) == expected
+            assert divide(f, table, order)[1] == expected[1]
+
+
+def test_integer_division_denominator_grows_every_step():
+    # 3x - y and 2y - 1 have coprime leads, and each step turns the one
+    # term left, with integer coefficient coprime to 6, into another such
+    # term: the common denominator is scaled by 3 or 2 at every one of
+    # the a + (a + b) steps, and the remainder is f at x = 1/6, y = 1/2
+    g1 = 3 * x - y
+    g2 = 2 * y - 1
+    a, b = 20, 25
+    coeff = Fraction(5**13, 7**9)
+    f = coeff * x**a * y**b
+    quotients, rem = divide(f, [g1, g2], with_quotients=True)
+    assert rem == R.const(coeff / (3**a * 2 ** (a + b)))
+    assert quotients[0] * g1 + quotients[1] * g2 + rem == f
+    assert (quotients, rem) == textbook_divide(f, [g1, g2], GrevLex())
+
+
+def _old_s_polynomial(f, g, order):
+    # the product definition a*f - b*g, with a and b single terms
+    ef, cf = leading_term(f, order)
+    eg, cg = leading_term(g, order)
+    lcm = tuple(max(u, v) for u, v in zip(ef, eg))
+    field = f.ring.field
+    a = Polynomial(
+        f.ring, {tuple(l - e for l, e in zip(lcm, ef)): field.invert(cf)}
+    )
+    b = Polynomial(
+        g.ring, {tuple(l - e for l, e in zip(lcm, eg)): field.invert(cg)}
+    )
+    return a * f - b * g
+
+
+def test_s_polynomial_matches_product_definition():
+    rng = random.Random(53)
+    rings = [
+        PolyRing(names, field)
+        for names in (("x", "y"), ("x", "y", "z"))
+        for field in (RationalField(), PrimeField(32003))
+    ]
+    for trial in range(60):
+        ring = rings[trial % len(rings)]
+        order = _table_orders(ring.nvars)[trial // len(rings) % 4]
+        pair = []
+        for _ in range(2):
+            g = random_sparse_poly(rng, ring, 4, 4)
+            # monic in half the cases
+            pair.append(monic(g, order) if rng.random() < 0.5 else g)
+        f, g = pair
+        assert s_polynomial(f, g, order) == _old_s_polynomial(f, g, order)
+        assert s_polynomial(f, f, order).is_zero
 
 
 def test_divisor_table_grown_one_by_one_keeps_its_order():
