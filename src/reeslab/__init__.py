@@ -61,7 +61,6 @@ from .groebner import (
 )
 from .lengths import (
     FunctionTable,
-    LengthSample,
     colength,
     hilbert_samples,
     maximal_ideal,

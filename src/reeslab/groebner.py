@@ -25,6 +25,16 @@ ch. 10).  Over GF(p) the divisors are monic and the denominator stays
 1.  The remainder and quotients are the exact ones of division over
 the field, since the scaling never changes the polynomial the integers
 stand for.
+
+Monomial ideals never reach the S-pair loop.  When every generator is a
+single term, the reduced basis is the set of minimal generators with
+coefficient one: the S-polynomial of two monomials is zero, so those
+generators are already a Groebner basis, and reduced because no lead
+divides another term of the basis (Cox-Little-O'Shea, ch. 2 §4).  The
+basis is unique, so it is the one the S-pair loop would return.
+`minimal_exponents` finds those generators in one pass by ascending
+degree, and products and powers of monomial ideals add exponents and
+minimalize once, with no polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, ge, neg, sub
+from operator import add, ge, le, neg, sub
 
 from .errors import ResourceBudgetError, RingMismatchError
 from .ring import (
@@ -77,6 +87,45 @@ def _divides(a, b):
 
 def _coprime(a, b):
     return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+
+def minimal_exponents(exps, order=DEFAULT_ORDER):
+    """The minimal exponent tuples under divisibility, ascending in the order.
+
+    Duplicates collapse to one.  A proper divisor has lower total
+    degree, so one pass in ascending degree that keeps each tuple no
+    kept tuple of lower degree divides finds exactly the minimal ones;
+    only those are then sorted by the order.
+    """
+    kept = []
+    same = []  # kept tuples of the current degree
+    deg = -1
+    for d, e in sorted([(sum(e), e) for e in set(exps)]):
+        if d != deg:
+            kept += same
+            same = []
+            deg = d
+        for k in kept:
+            if all(map(le, k, e)):
+                break
+        else:
+            same.append(e)
+    kept += same
+    kept.sort(key=order.key)
+    return kept
+
+
+def _monomial_exps(polys):
+    # the exponents of the nonzero polynomials when each is a single
+    # term, else None
+    if all(len(g.terms) == 1 for g in polys):
+        return [next(iter(g.terms)) for g in polys]
+    return None
+
+
+def _monomials(ring, exps):
+    one = ring.field.one
+    return [Polynomial(ring, {e: one}) for e in exps]
 
 
 def monic(f, order=DEFAULT_ORDER):
@@ -287,16 +336,16 @@ def _monic_multiple(f, lead, lc, target):
 def buchberger(gens, order=DEFAULT_ORDER, budget=None):
     """Reduced Groebner basis of the ideal spanned by the generators.
 
-    Normal selection strategy: pairs are popped by lcm total degree,
-    then the order key of the lcm, then generator indices.  Pairs with
-    coprime leads are never queued; the chain criterion drops a pair
-    when a third basis element divides its lcm and both flanking pairs
-    were already treated.
+    Monomial generators return their minimal monomials at once.  Others
+    go through the S-pair loop, with the normal selection strategy:
+    pairs are popped by lcm total degree, then the order key of the lcm,
+    then generator indices.  Pairs with coprime leads are never queued;
+    the chain criterion drops a pair when a third basis element divides
+    its lcm and both flanking pairs were already treated.
     """
     budget = budget or _ACTIVE_BUDGET.get()
     ring = None
-    basis = []
-    seen = set()
+    nonzero = []
     for g in gens:
         if g.is_zero:
             continue
@@ -304,12 +353,19 @@ def buchberger(gens, order=DEFAULT_ORDER, budget=None):
             ring = g.ring
         elif g.ring != ring:
             raise RingMismatchError(f"{ring!r} vs {g.ring!r}")
+        nonzero.append(g)
+    if not nonzero:
+        return []
+    exps = _monomial_exps(nonzero)
+    if exps is not None:
+        return _monomials(ring, minimal_exponents(exps, order))
+    basis = []
+    seen = set()
+    for g in nonzero:
         m = monic(g, order)
         if m not in seen:
             seen.add(m)
             basis.append(m)
-    if not basis:
-        return []
     key = order.key
     leads = [leading_term(g, order)[0] for g in basis]
     table = DivisorTable(basis, order)
@@ -374,14 +430,11 @@ def _reduce_basis(basis, leads, order):
     # minimalize, then tail-reduce every element against one table of the
     # minimal basis; an element may stay in the table its own tail is
     # reduced against, because no term below a lead is divisible by it
-    key = order.key
-    minimal = []
-    min_leads = []
-    for lg, g in sorted(zip(leads, basis), key=lambda t: key(t[0])):
-        if any(_divides(l, lg) for l in min_leads):
-            continue
-        minimal.append(g)
-        min_leads.append(lg)
+    by_lead = {}
+    for lg, g in zip(leads, basis):
+        by_lead.setdefault(lg, g)
+    min_leads = minimal_exponents(leads, order)
+    minimal = [by_lead[lg] for lg in min_leads]
     if len(minimal) == 1:
         return minimal
     table = DivisorTable(minimal, order)
@@ -518,6 +571,11 @@ def ideal_sum(a, b):
 
 def ideal_product(a, b):
     _same_ring(a, b)
+    ea = _monomial_exps(a.gens)
+    eb = _monomial_exps(b.gens)
+    if ea is not None and eb is not None:
+        exps = [tuple(map(add, e, f)) for e in ea for f in eb]
+        return Ideal(a.ring, _monomials(a.ring, minimal_exponents(exps)))
     prods = [f * g for f in a.gens for g in b.gens]
     return Ideal(a.ring, interreduce(prods))
 
@@ -546,32 +604,23 @@ _INTERREDUCE_NF_CAP = 300
 def interreduce(polys, order=DEFAULT_ORDER):
     """Trim a generator list without changing the ideal it spans.
 
-    Monomial lists are cut to their minimal generators exactly; general
-    lists are greedily normal-formed against what is already kept.
+    Monomial lists are cut to their minimal generators exactly, with
+    coefficient one and ascending in the order; general lists are
+    greedily normal-formed against what is already kept.
     """
+    polys = [g for g in polys if g is not None and not g.is_zero]
+    if not polys:
+        return []
+    exps = _monomial_exps(polys)
+    if exps is not None:
+        return _monomials(polys[0].ring, minimal_exponents(exps, order))
     live = []
     seen = set()
     for g in polys:
-        if g is None or g.is_zero:
-            continue
         g = monic(g, order)
         if g not in seen:
             seen.add(g)
             live.append(g)
-    if not live:
-        return []
-    if all(g.is_monomial for g in live):
-        exps = sorted(
-            (next(iter(g.terms)) for g in live),
-            key=lambda e: (sum(e), order.key(e)),
-        )
-        kept = []
-        for e in exps:
-            if not any(_divides(k, e) for k in kept):
-                kept.append(e)
-        ring = live[0].ring
-        one = ring.field.one
-        return [Polynomial(ring, {e: one}) for e in kept]
     if len(live) > _INTERREDUCE_NF_CAP:
         return live
     live.sort(key=lambda g: order.key(leading_term(g, order)[0]))

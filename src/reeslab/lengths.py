@@ -28,17 +28,10 @@ from .groebner import (
     ideal_sum,
     interreduce,
     intersection,
+    minimal_exponents,
     unit_ideal,
 )
-from .ring import Polynomial, total_degree
-
-
-@dataclass(frozen=True)
-class LengthSample:
-    """One evaluation of an integer-valued function."""
-
-    arg: int
-    value: int
+from .ring import Lex, Polynomial, total_degree
 
 
 @dataclass(frozen=True)
@@ -53,9 +46,6 @@ class FunctionTable:
 
     def args(self):
         return range(self.start, self.start + len(self.values))
-
-    def samples(self):
-        return [LengthSample(a, v) for a, v in zip(self.args(), self.values)]
 
 
 def maximal_ideal(ring):
@@ -92,19 +82,16 @@ def m_power(ring, k):
     )
 
 
-def _minimal_exps(exps):
-    kept = []
-    for e in sorted(set(exps), key=lambda x: (sum(x), x)):
-        if not any(all(a <= b for a, b in zip(k, e)) for k in kept):
-            kept.append(e)
-    return kept
+_LEX = Lex()
 
 
-def _hilbert_numerator(exps):
-    """Numerator N of the Hilbert series N(t)/(1-t)^n of R/(x^e : e in exps).
+def _numerator(gens):
+    """Numerator N of the Hilbert series N(t)/(1-t)^n of R/(x^g : g in gens).
 
-    Coefficients from degree 0 up.  A power p of the variable shared by
-    the most generators splits the ideal M by the exact sequence
+    The exponent tuples in gens must be the minimal generators, such as
+    the leads of a reduced basis.  Coefficients from degree 0 up.  A
+    power p of the variable shared by the most generators splits the
+    ideal M by the exact sequence
     0 -> R/(M:p)(-deg p) -> R/M -> R/(M+p) -> 0, so
     N(M) = N(M+p) + t^deg(p)·N(M:p) (Bigatti, JPAA 119, 1997).  The
     exponent of p is the median of that variable's distinct exponents
@@ -113,12 +100,8 @@ def _hilbert_numerator(exps):
     the number of variables times the log of the degree, whatever the
     generator count.  Generators with pairwise disjoint supports end it.
     """
-    return _numerator(_minimal_exps(exps))
-
-
-def _numerator(gens):
-    # gens is a minimal generating set.  A pure power of x_i among them
-    # exceeds every mixed exponent of x_i, so plus below is minimal too:
+    # a pure power of x_i among the generators exceeds every mixed
+    # exponent of x_i, so plus below is minimal too:
     # p divides none of the generators it keeps, and none of them
     # divides p.
     nvars = len(gens[0]) if gens else 0
@@ -137,7 +120,8 @@ def _numerator(gens):
     pivot = tuple(e if j == i else 0 for j in range(nvars))
     plus = [g for g in gens if g[i] < e] + [pivot]
     colon = [g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens]
-    shifted = [0] * e + _numerator(_minimal_exps(colon))
+    # the numerator ignores generator order, and lex keys cost least
+    shifted = [0] * e + _numerator(minimal_exponents(colon, _LEX))
     return [
         c + s for c, s in zip_longest(_numerator(plus), shifted, fillvalue=0)
     ]
@@ -150,7 +134,7 @@ def staircase_histogram(lead_exps, nvars, max_degree):
     by none of the given exponent tuples, for e = 0..max_degree: the
     expansion of the Hilbert series N(t)/(1-t)^nvars.
     """
-    num = _hilbert_numerator(lead_exps)
+    num = _numerator(minimal_exponents(lead_exps))
     hist = (num + [0] * (max_degree + 1))[: max_degree + 1]
     for _ in range(nvars):
         hist = list(accumulate(hist))  # times 1/(1-t)
@@ -165,7 +149,8 @@ def colength(a):
     gb = a.groebner()
     if gb.is_unit:
         return 0
-    leads = _minimal_exps(gb.lead_exps)
+    # the leads of a reduced basis are its minimal generators already
+    leads = gb.lead_exps
     # finite exactly when the lead-term ideal holds a pure power of
     # every variable; the bound below then caps standard monomials
     bound = 0
@@ -208,12 +193,12 @@ def subquotient_length(a, b, check_containment=True):
 def _graded_subquotient(a, b):
     # the Hilbert series of a/b is (N_b - N_a)/(1-t)^n; the length is
     # finite exactly when that is a polynomial, and is then its value
-    # at t = 1
+    # at t = 1; the leads of a reduced basis are minimal already
     series = [
         nb - na
         for nb, na in zip_longest(
-            _hilbert_numerator(b.groebner().lead_exps),
-            _hilbert_numerator(a.groebner().lead_exps),
+            _numerator(b.groebner().lead_exps),
+            _numerator(a.groebner().lead_exps),
             fillvalue=0,
         )
     ]

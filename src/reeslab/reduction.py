@@ -38,7 +38,6 @@ from .groebner import (
 from .lengths import (
     FunctionTable,
     _is_graded,
-    _minimal_exps,
     colength,
     m_power,
     maximal_ideal,
@@ -149,11 +148,10 @@ def integral_dependence(f, inner, n_max=10):
 
 
 def _quotient_dimension_from_leads(lead_exps, nvars):
-    # largest coordinate subspace meeting no generator's support
-    supports = [
-        frozenset(i for i, x in enumerate(e) if x)
-        for e in _minimal_exps(lead_exps)
-    ]
+    # largest coordinate subspace meeting no generator's support; a
+    # multiple's support contains its divisor's, so the leads need no
+    # minimalizing
+    supports = {frozenset(i for i, x in enumerate(e) if x) for e in lead_exps}
     for size in range(nvars, -1, -1):
         for subset in combinations(range(nvars), size):
             sset = set(subset)

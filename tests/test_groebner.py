@@ -2,6 +2,9 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations_with_replacement
+from operator import mul
 
 import pytest
 
@@ -289,6 +292,86 @@ def test_divisor_table_grown_one_by_one_keeps_its_order():
         whole = DivisorTable(polys, order)
         assert [e[:4] for e in grown.entries] == [e[:4] for e in whole.entries]
         assert grown.size == whole.size == len(polys)
+
+
+def _random_monomial_exps(rng, nvars, count, max_exp):
+    # distinct exponent tuples, not necessarily minimal
+    exps = set()
+    while len(exps) < count:
+        exps.add(tuple(rng.randint(0, max_exp) for _ in range(nvars)))
+    return sorted(exps)
+
+
+def _monomial_list(ring, exps):
+    one = ring.field.one
+    return [Polynomial(ring, {e: one}) for e in exps]
+
+
+def _disguised(ring, exps, rng):
+    # m1, m2 + c*m1, m3 + c*m2, ...: the ideal of the monomials, spanned
+    # by generators of which only the first is a monomial, so Buchberger
+    # takes them through its S-pair loop
+    monos = _monomial_list(ring, exps)
+    return monos[:1] + [
+        m + rng.choice([-3, -1, 2, 7]) * prev
+        for prev, m in zip(monos, monos[1:])
+    ]
+
+
+def test_monomial_ideals_match_the_s_pair_loop():
+    rng = random.Random(59)
+    names = ("x", "y", "z", "w")
+    fields = (RationalField(), PrimeField(32003))
+    orders = (GrevLex(), Lex(), BlockElimination(1))
+    for trial in range(36):
+        nvars = 2 + trial % 3
+        ring = PolyRing(names[:nvars], fields[trial // 3 % 2])
+        order = orders[trial // 6 % 3]
+        a_exps = _random_monomial_exps(rng, nvars, rng.randint(2, 4), 3)
+        b_exps = _random_monomial_exps(rng, nvars, rng.randint(2, 3), 2)
+        # scaled monomials: the exponent path must return coefficient one
+        a = Ideal(
+            ring,
+            [rng.choice([1, 2, -5]) * m for m in _monomial_list(ring, a_exps)],
+        )
+        b = Ideal(ring, _monomial_list(ring, b_exps))
+        da = _disguised(ring, a_exps, rng)
+        db = _disguised(ring, b_exps, rng)
+        assert not any(g.is_monomial for g in da[1:])
+        expected = buchberger(da, order)
+        keys = [order.key(leading_term(g, order)[0]) for g in expected]
+        assert keys == sorted(keys)
+        assert buchberger(a.gens, order) == expected
+        assert a.groebner(order).polys == tuple(expected)
+        product = ideal_product(a, b)
+        assert list(product.gens) == buchberger(product.gens, GrevLex())
+        assert buchberger(product.gens, order) == buchberger(
+            [f * g for f in da for g in db], order
+        )
+        n = rng.randint(2, 4)
+        disguised_power = [
+            reduce(mul, factors)
+            for factors in combinations_with_replacement(da, n)
+        ]
+        assert buchberger(ideal_power(a, n).gens, order) == buchberger(
+            disguised_power, order
+        )
+
+
+def test_monomial_basis_ignores_the_pair_budget():
+    # a monomial ideal queues no pair and adds no basis element, so even
+    # the smallest budget returns its 30 minimal generators
+    tiny = ResourceBudget(max_pairs=1, max_basis=1)
+    minimal = [x**i * y ** (29 - i) for i in range(30)]
+    gens = minimal + [x**i * y ** (30 - i) for i in range(31)]
+    basis = buchberger(gens, budget=tiny)
+    assert len(basis) == 30
+    assert set(basis) == set(minimal)
+    assert Ideal(R, gens).groebner().polys == tuple(basis)
+    with pytest.raises(
+        ResourceBudgetError, match="REESLAB_BUDGET (basis|pairs)="
+    ):
+        buchberger((x**2 - y, x * y - 1), budget=tiny)
 
 
 def test_lex_groebner_classic():

@@ -291,5 +291,3 @@ def test_function_table_shape():
     t = FunctionTable(2, (5, 7, 9))
     assert list(t.args()) == [2, 3, 4]
     assert len(t) == 3
-    assert [s.arg for s in t.samples()] == [2, 3, 4]
-    assert [s.value for s in t.samples()] == [5, 7, 9]
