@@ -26,6 +26,19 @@ ch. 10).  Over GF(p) the divisors are monic and the denominator stays
 the field, since the scaling never changes the polynomial the integers
 stand for.
 
+The S-pair loop stays on those integer forms from its input to the
+reduced basis.  One private loop, `_reduce`, serves `divide`, the
+S-pair reductions, the tail reductions of `_reduce_basis` and
+`interreduce`.  Each S-polynomial is built on ints from the two table
+entries, a nonzero remainder enters the table as its primitive (over
+GF(p), monic) form, and monic polynomials with field coefficients are
+built only for the reduced basis.  Each table keeps a memo from a term's
+exponents to its heap item, so an order key is computed once per table,
+and each entry carries a mask of the variables in its lead: a lead
+with a variable the term lacks is passed over before the exponents are
+compared (Bachmann-Schönemann, "Monomial representations for Gröbner
+bases computations", ISSAC 1998, call these short exponent vectors).
+
 Monomial ideals never reach the S-pair loop.  When every generator is a
 single term, the reduced basis is the set of minimal generators with
 coefficient one: the S-polynomial of two monomials is zero, so those
@@ -47,7 +60,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, ge, le, neg, sub
 
-from .errors import ResourceBudgetError, RingMismatchError
+from .errors import ResourceBudgetError, RingMismatchError, ZeroPolynomialError
 from .ring import (
     DEFAULT_ORDER,
     BlockElimination,
@@ -81,12 +94,19 @@ def _exps_lcm(a, b):
     return tuple(x if x > y else y for x, y in zip(a, b))
 
 
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+def _support(e):
+    # bitmask of the variables that occur in e
+    mask = 0
+    for i, x in enumerate(e):
+        if x:
+            mask |= 1 << i
+    return mask
 
 
-def _coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+def _char(ring):
+    # p over GF(p), 0 over Q
+    field = ring.field
+    return field.p if isinstance(field, PrimeField) else 0
 
 
 def minimal_exponents(exps, order=DEFAULT_ORDER):
@@ -139,11 +159,65 @@ def monic(f, order=DEFAULT_ORDER):
     return Polynomial(f.ring, {e: mul(c, inv) for e, c in f.terms.items()})
 
 
+def _primitive(nums, lead_exps, p):
+    # (L, tail) of the integer form of the int polynomial `nums`, whose
+    # lead is x^lead_exps: primitive with L > 0 over Q, monic over GF(p)
+    if p:
+        inv = pow(nums[lead_exps], p - 2, p)
+        return 1, tuple(
+            (e, -n * inv % p) for e, n in nums.items() if e != lead_exps
+        )
+    content = gcd(*nums.values())
+    if nums[lead_exps] < 0:
+        content = -content
+    return nums[lead_exps] // content, tuple(
+        (e, -(n // content)) for e, n in nums.items() if e != lead_exps
+    )
+
+
+def _int_form(g, order):
+    # (lead exponents, L, tail, kappa) of the nonzero polynomial g
+    lead_exps, lc = leading_term(g, order)
+    p = _char(g.ring)
+    if p:
+        nums = g.terms
+    else:
+        den = lcm(*(c.denominator for c in g.terms.values()))
+        nums = {e: c.numerator * (den // c.denominator) for e, c in g.terms.items()}
+    lead, tail = _primitive(nums, lead_exps, p)
+    kappa = 1 if lc == lead else pow(lc, p - 2, p) if p else lead / lc
+    return lead_exps, lead, tail, kappa
+
+
+def _monic_poly(ring, lead_exps, lead, tail):
+    # the monic polynomial whose integer form is (lead_exps, L, tail)
+    terms = {lead_exps: ring.field.one}
+    p = _char(ring)
+    for e, c in tail:
+        terms[e] = -c % p if p else Fraction(-c, lead)
+    return Polynomial(ring, terms)
+
+
+def _distinct_forms(polys, order):
+    # the integer forms (lead exponents, L, tail) of the nonzero
+    # polynomials, keeping the first of several scalar multiples
+    forms = []
+    seen = set()
+    for g in polys:
+        lead_exps, lead, tail, _ = _int_form(g, order)
+        mark = (lead_exps, lead, frozenset(tail))
+        if mark not in seen:
+            seen.add(mark)
+            forms.append((lead_exps, lead, tail))
+    return forms
+
+
 class DivisorTable:
     """The leading data of a divisor list, prepared once for many divisions.
 
     `entries` holds one tuple per nonzero divisor g: (lead degree, order
-    key of the lead, index, lead exponents, L, tail, kappa).  The last
+    key of the lead, index, lead exponents, mask, L, tail, kappa).  The
+    mask has bit i set when variable i occurs in the lead.  The last
     three describe the integer form g~ = kappa*g that `divide` subtracts:
     L is its leading coefficient, a positive int, and `tail` lists its
     other terms as (exponents, -coefficient) pairs of ints.  Over Q, g~
@@ -160,57 +234,125 @@ class DivisorTable:
     the next index and inserts it on the same key, so a table grown one
     divisor at a time has the order of a table built over the whole list
     at once.
+
+    `memo` maps the exponents of every term a division has met to its
+    heap item (negated order key, degree, complement of its mask,
+    exponents), so each order key is computed once per table.
     """
 
-    __slots__ = ("ring", "order", "entries", "size")
+    __slots__ = ("ring", "order", "entries", "size", "memo")
 
     def __init__(self, divisors=(), order=DEFAULT_ORDER):
         self.ring = None
         self.order = order
         self.entries = []
         self.size = 0
+        self.memo = {}
         for g in divisors:
-            entry = self._entry(g)
-            if entry is not None:
-                self.entries.append(entry)
+            if g.is_zero:
+                # a zero divisor keeps its index, and its quotient is zero
+                self.size += 1
+                continue
+            self._check_ring(g)
+            self.entries.append(self._entry(*_int_form(g, order)))
         self.entries.sort()
 
-    def _entry(self, g):
-        idx = self.size
-        self.size += 1
-        if g.is_zero:
-            return None
+    def _check_ring(self, g):
         if self.ring is None:
             self.ring = g.ring
         elif g.ring != self.ring:
             raise RingMismatchError(f"{self.ring!r} vs {g.ring!r}")
-        le, lc = leading_term(g, self.order)
-        field = g.ring.field
-        terms = g.terms
-        if len(terms) == 1:
-            lead, tail = 1, ()
-            kappa = 1 if lc == field.one else field.invert(lc)
-        elif isinstance(field, PrimeField):
-            p = field.p
-            lead = 1
-            kappa = 1 if lc == 1 else field.invert(lc)
-            tail = tuple((e, -c * kappa % p) for e, c in terms.items() if e != le)
-        else:
-            den = lcm(*(c.denominator for c in terms.values()))
-            nums = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-            content = gcd(*nums.values())
-            if lc < 0:
-                content = -content
-            lead = nums.pop(le) // content
-            tail = tuple((e, -(n // content)) for e, n in nums.items())
-            kappa = 1 if den == content else Fraction(den, content)
-        return (sum(le), self.order.key(le), idx, le, lead, tail, kappa)
+
+    def _entry(self, e, lead, tail, kappa):
+        idx = self.size
+        self.size += 1
+        return (sum(e), self.order.key(e), idx, e, _support(e), lead, tail, kappa)
 
     def add(self, g):
-        """Append the nonzero g as the next divisor; returns its lead."""
-        entry = self._entry(g)
+        """Append the nonzero g as the next divisor; returns its lead.
+
+        Zero and a polynomial of another ring are refused before the
+        table changes.
+        """
+        if g.is_zero:
+            raise ZeroPolynomialError("cannot add the zero polynomial as a divisor")
+        self._check_ring(g)
+        entry = self._entry(*_int_form(g, self.order))
         bisect.insort(self.entries, entry)
         return entry[3]
+
+    def add_form(self, lead_exps, lead, tail):
+        """Append the monic divisor whose integer form has lead exponents
+        `lead_exps`, leading coefficient `lead` and `tail`."""
+        bisect.insort(self.entries, self._entry(lead_exps, lead, tail, lead))
+
+
+def _heap_item(memo, key, e):
+    item = memo[e] = (tuple(map(neg, key(e))), sum(e), ~_support(e), e)
+    return item
+
+
+def _reduce(work, s, table, p, quotients=None):
+    # Reduce work/s by the table, consuming `work`: integer coefficients
+    # over one common denominator s (1 over GF(p)).  Returns (remainder,
+    # s), the remainder as int numerators over the final s, its terms in
+    # descending order.  A term c*x^a is reduced by the integer form g~
+    # of its divisor, with lead L: with h = gcd(c, L), `work`, the
+    # remainder and s are all multiplied by L/h, which leaves work/s
+    # unchanged, and then (c/h)*x^shift*g~ is subtracted, which cancels
+    # the term exactly.  Over GF(p), L is 1 and every coefficient is read
+    # modulo p when its term is reached.  A reduction records its factor
+    # in `quotients` when given, one dict per table index.
+    memo = table.memo
+    key = table.order.key
+    entries = table.entries
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    # each exponent in `work` has exactly one heap item: a reduction only
+    # adds terms below the one it reduces, which are not yet popped
+    heap = [memo.get(e) or _heap_item(memo, key, e) for e in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        _, deg, miss, exps = heappop(heap)
+        c = work.pop(exps)
+        if p:
+            c %= p
+        if not c:
+            continue
+        for lead_deg, _, idx, lead_exps, mask, lead, tail, kappa in entries:
+            if lead_deg > deg:
+                remainder[exps] = c
+                break
+            # a lead with a variable the term lacks cannot divide it
+            if mask & miss or not all(map(ge, exps, lead_exps)):
+                continue
+            shift = tuple(map(sub, exps, lead_exps))
+            if lead != 1:
+                h = gcd(c, lead)
+                m = lead // h
+                c //= h
+                if m != 1:
+                    s *= m
+                    for e in work:
+                        work[e] *= m
+                    for e in remainder:
+                        remainder[e] *= m
+            if quotients is not None:
+                factor = c * kappa % p if p else Fraction(c, s) * kappa
+                quotients[idx][shift] = factor
+            for te, tc in tail:
+                tgt = tuple(map(add, shift, te))
+                old = work.get(tgt)
+                if old is None:
+                    work[tgt] = c * tc
+                    heappush(heap, memo.get(tgt) or _heap_item(memo, key, tgt))
+                else:
+                    work[tgt] = old + c * tc
+            break
+        else:
+            remainder[exps] = c
+    return remainder, s
 
 
 def divide(f, divisors, order=DEFAULT_ORDER, with_quotients=False):
@@ -228,14 +370,11 @@ def divide(f, divisors, order=DEFAULT_ORDER, with_quotients=False):
     The arithmetic is on ints, for both fields.  The working polynomial
     is kept as `work`/s: integer coefficients over one common
     denominator s, which starts as the lcm of f's denominators (1 over
-    GF(p)).  A term c*x^a is reduced by the integer form g~ of its
-    divisor, with lead L, as follows: with h = gcd(c, L), `work` and s
-    are both multiplied by L/h, which leaves work/s unchanged, and then
-    (c/h)*x^shift*g~ is subtracted, which cancels the term exactly.  So
-    work/s is always f minus the quotients found so far times their
-    divisors, and a term that no lead divides leaves as the exact
-    remainder coefficient c/s.  Over GF(p), L is 1, s stays 1 and every
-    coefficient is read modulo p when its term is reached.
+    GF(p)).  Each reduction step scales `work` and s by the same factor
+    and then cancels one term exactly (see `_reduce`), so work/s is
+    always f minus the quotients found so far times their divisors, and
+    a term that no lead divides leaves as the exact remainder
+    coefficient over the final s.
     """
     if not isinstance(divisors, DivisorTable):
         divisors = DivisorTable(divisors, order)
@@ -246,58 +385,13 @@ def divide(f, divisors, order=DEFAULT_ORDER, with_quotients=False):
     ring = f.ring
     if divisors.ring is not None and divisors.ring != ring:
         raise RingMismatchError(f"{ring!r} vs {divisors.ring!r}")
-    field = ring.field
-    p = field.p if isinstance(field, PrimeField) else 0  # 0 over Q
-    key = order.key
-    heappush = heapq.heappush
-    table = divisors.entries
+    p = _char(ring)
     quotients = [{} for _ in range(divisors.size)] if with_quotients else None
     s = lcm(*(c.denominator for c in f.terms.values()))
     work = {e: c.numerator * (s // c.denominator) for e, c in f.terms.items()}
-    # each exponent in `work` has exactly one heap entry: a reduction only
-    # adds terms below the one it reduces, which are not yet popped
-    heap = [(tuple(map(neg, key(e))), e) for e in work]
-    heapq.heapify(heap)
-    remainder = {}
-    while heap:
-        _, exps = heapq.heappop(heap)
-        c = work.pop(exps)
-        if p:
-            c %= p
-        if not c:
-            continue
-        deg = sum(exps)
-        reduced = False
-        for lead_deg, _, idx, le, lead, tail, kappa in table:
-            if lead_deg > deg:
-                break
-            if all(map(ge, exps, le)):
-                shift = tuple(map(sub, exps, le))
-                if lead != 1:
-                    h = gcd(c, lead)
-                    m = lead // h
-                    c //= h
-                    if m != 1:
-                        s *= m
-                        for e in work:
-                            work[e] *= m
-                if with_quotients:
-                    factor = c if p else Fraction(c, s)
-                    if kappa != 1:
-                        factor = field.mul(factor, kappa)
-                    quotients[idx][shift] = factor
-                for te, tc in tail:
-                    tgt = tuple(map(add, shift, te))
-                    old = work.get(tgt)
-                    if old is None:
-                        work[tgt] = c * tc
-                        heappush(heap, (tuple(map(neg, key(tgt))), tgt))
-                    else:
-                        work[tgt] = old + c * tc
-                reduced = True
-                break
-        if not reduced:
-            remainder[exps] = c if p else Fraction(c, s)
+    remainder, s = _reduce(work, s, divisors, p, quotients)
+    if not p:
+        remainder = {e: Fraction(c, s) for e, c in remainder.items()}
     rem = Polynomial(ring, remainder)
     if not with_quotients:
         return None, rem
@@ -342,6 +436,16 @@ def buchberger(gens, order=DEFAULT_ORDER, budget=None):
     then generator indices.  Pairs with coprime leads are never queued;
     the chain criterion drops a pair when a third basis element divides
     its lcm and both flanking pairs were already treated.
+
+    The loop keeps each basis element as its integer form (lead
+    exponents, L, tail), the data of its `DivisorTable` entry.  The
+    S-polynomial of elements i and j is built on ints as
+    (L_j/h)*x^(l-a_i)*g~_i - (L_i/h)*x^(l-a_j)*g~_j, with l the lcm of
+    the leads a_i, a_j and h = gcd(L_i, L_j): a positive multiple of the
+    S-polynomial of the monic elements, so it has the same remainder up
+    to that scalar.  A nonzero remainder enters the table as its
+    primitive (over GF(p), monic) form; monic polynomials are built only
+    for the reduced basis.
     """
     budget = budget or _ACTIVE_BUDGET.get()
     ring = None
@@ -359,30 +463,33 @@ def buchberger(gens, order=DEFAULT_ORDER, budget=None):
     exps = _monomial_exps(nonzero)
     if exps is not None:
         return _monomials(ring, minimal_exponents(exps, order))
-    basis = []
-    seen = set()
-    for g in nonzero:
-        m = monic(g, order)
-        if m not in seen:
-            seen.add(m)
-            basis.append(m)
+    p = _char(ring)
     key = order.key
-    leads = [leading_term(g, order)[0] for g in basis]
-    table = DivisorTable(basis, order)
+    table = DivisorTable((), order)
+    basis = []  # integer forms, by index
+    leads = []
+    masks = []
     heap = []
     pending = set()
     pushes = 0
 
+    def append(form):
+        basis.append(form)
+        leads.append(form[0])
+        masks.append(_support(form[0]))
+        table.add_form(*form)
+
     def queue_pairs(t):
         nonlocal pushes
         lt = leads[t]
+        mt = masks[t]
         # the s-polynomial of two single terms cancels identically, so
         # such pairs are treated without ever entering the queue
-        single_t = len(basis[t].terms) == 1
+        single_t = not basis[t][2]
         for i in range(t):
-            if _coprime(leads[i], lt):
-                continue
-            if single_t and len(basis[i].terms) == 1:
+            if not masks[i] & mt:
+                continue  # coprime leads
+            if single_t and not basis[i][2]:
                 continue
             lcm = _exps_lcm(leads[i], lt)
             heapq.heappush(heap, (sum(lcm), key(lcm), i, t))
@@ -394,15 +501,23 @@ def buchberger(gens, order=DEFAULT_ORDER, budget=None):
                 "raise REESLAB_BUDGET pairs=N"
             )
 
+    for form in _distinct_forms(nonzero, order):
+        append(form)
     for t in range(len(basis)):
         queue_pairs(t)
     while heap:
         _, _, i, j = heapq.heappop(heap)
         pending.discard((i, j))
         lcm = _exps_lcm(leads[i], leads[j])
+        miss = ~(masks[i] | masks[j])
         skip = False
         for l in range(len(basis)):
-            if l == i or l == j or not _divides(leads[l], lcm):
+            if (
+                masks[l] & miss
+                or l == i
+                or l == j
+                or not all(map(le, leads[l], lcm))
+            ):
                 continue
             a = (i, l) if i < l else (l, i)
             b = (j, l) if j < l else (l, j)
@@ -411,61 +526,94 @@ def buchberger(gens, order=DEFAULT_ORDER, budget=None):
                 break
         if skip:
             continue
-        _, r = divide(s_polynomial(basis[i], basis[j], order), table, order)
-        if r.is_zero:
+        ei, li, ti = basis[i]
+        ej, lj, tj = basis[j]
+        h = gcd(li, lj)
+        fi = lj // h
+        fj = li // h
+        si = tuple(map(sub, lcm, ei))
+        sj = tuple(map(sub, lcm, ej))
+        work = {}
+        # the tails store negated coefficients
+        for e, c in ti:
+            e = tuple(map(add, si, e))
+            work[e] = work.get(e, 0) - fi * c
+        for e, c in tj:
+            e = tuple(map(add, sj, e))
+            work[e] = work.get(e, 0) + fj * c
+        r, _ = _reduce(work, 1, table, p)
+        if not r:
             continue
-        g = monic(r, order)
-        basis.append(g)
-        leads.append(table.add(g))
+        # the first term the heap left unreduced is the lead
+        lead_exps = next(iter(r))
+        append((lead_exps,) + _primitive(r, lead_exps, p))
         if len(basis) > budget.max_basis:
             raise ResourceBudgetError(
                 f"basis size budget {budget.max_basis} exceeded; "
                 "raise REESLAB_BUDGET basis=N"
             )
         queue_pairs(len(basis) - 1)
-    return _reduce_basis(basis, leads, order)
+    return _reduce_basis(ring, basis, order, table.memo)
 
 
-def _reduce_basis(basis, leads, order):
-    # minimalize, then tail-reduce every element against one table of the
-    # minimal basis; an element may stay in the table its own tail is
-    # reduced against, because no term below a lead is divisible by it
+def _reduce_basis(ring, basis, order, memo):
+    # minimalize the integer forms, then tail-reduce every element
+    # against one table of the minimal basis; an element may stay in the
+    # table its own tail is reduced against, because no term below a
+    # lead is divisible by it.  The table reuses the loop's key memo.
     by_lead = {}
-    for lg, g in zip(leads, basis):
-        by_lead.setdefault(lg, g)
-    min_leads = minimal_exponents(leads, order)
-    minimal = [by_lead[lg] for lg in min_leads]
+    for form in basis:
+        by_lead.setdefault(form[0], form)
+    minimal = [by_lead[e] for e in minimal_exponents(by_lead, order)]
     if len(minimal) == 1:
-        return minimal
-    table = DivisorTable(minimal, order)
+        return [_monic_poly(ring, *minimal[0])]
+    table = DivisorTable((), order)
+    table.memo = memo
+    for form in minimal:
+        table.add_form(*form)
+    p = _char(ring)
     reduced = []
-    for lg, g in zip(min_leads, minimal):
-        tail = dict(g.terms)
-        terms = {lg: tail.pop(lg)}
-        _, r = divide(Polynomial(g.ring, tail), table, order)
-        terms.update(r.terms)
-        reduced.append(Polynomial(g.ring, terms))
+    for lead_exps, lead, tail in minimal:
+        r, s = _reduce({e: -c for e, c in tail}, 1, table, p)
+        # the monic element's reduced tail is r/(s*L); tails store
+        # negated coefficients
+        tail = [(e, -c) for e, c in r.items()]
+        reduced.append(_monic_poly(ring, lead_exps, s * lead, tail))
     # the leads are those of `minimal`, already ascending in the order
     return reduced
 
 
 class GroebnerBasis:
-    """A reduced basis with its order; iterates over the polynomials."""
+    """A reduced basis with its order; iterates over the polynomials.
 
-    __slots__ = ("ring", "order", "polys", "lead_exps", "table")
+    The divisor table is built on the first normal form, so a basis
+    that only lends its leads, like those of the Hilbert numerators,
+    never builds one.
+    """
+
+    __slots__ = ("ring", "order", "polys", "lead_exps", "_table")
 
     def __init__(self, ring, order, polys):
         self.ring = ring
         self.order = order
         self.polys = tuple(polys)
-        self.lead_exps = tuple(leading_term(p, order)[0] for p in self.polys)
-        self.table = DivisorTable(self.polys, order)
+        exps = _monomial_exps(self.polys)
+        if exps is None:
+            exps = [leading_term(p, order)[0] for p in self.polys]
+        self.lead_exps = tuple(exps)
+        self._table = None
 
     def __iter__(self):
         return iter(self.polys)
 
     def __len__(self):
         return len(self.polys)
+
+    @property
+    def table(self):
+        if self._table is None:
+            self._table = DivisorTable(self.polys, self.order)
+        return self._table
 
     def normal_form(self, f):
         return divide(f, self.table, self.order)[1]
@@ -614,23 +762,26 @@ def interreduce(polys, order=DEFAULT_ORDER):
     exps = _monomial_exps(polys)
     if exps is not None:
         return _monomials(polys[0].ring, minimal_exponents(exps, order))
-    live = []
-    seen = set()
-    for g in polys:
-        g = monic(g, order)
-        if g not in seen:
-            seen.add(g)
-            live.append(g)
-    if len(live) > _INTERREDUCE_NF_CAP:
-        return live
-    live.sort(key=lambda g: order.key(leading_term(g, order)[0]))
+    ring = polys[0].ring
+    forms = _distinct_forms(polys, order)
+    if len(forms) > _INTERREDUCE_NF_CAP:
+        return [_monic_poly(ring, *form) for form in forms]
+    forms.sort(key=lambda form: order.key(form[0]))
+    p = _char(ring)
     kept = []
     table = DivisorTable((), order)
-    for g in live:
-        r = divide(g, table, order)[1] if kept else g
-        if not r.is_zero:
-            kept.append(monic(r, order))
-            table.add(kept[-1])
+    for form in forms:
+        if kept:
+            lead_exps, lead, tail = form
+            work = {e: -c for e, c in tail}
+            work[lead_exps] = lead
+            r, _ = _reduce(work, 1, table, p)
+            if not r:
+                continue
+            lead_exps = next(iter(r))
+            form = (lead_exps,) + _primitive(r, lead_exps, p)
+        table.add_form(*form)
+        kept.append(_monic_poly(ring, *form))
     return kept
 
 

@@ -32,6 +32,7 @@ from reeslab import (
     RationalField,
     ResourceBudget,
     ResourceBudgetError,
+    RingMismatchError,
     buchberger,
     colon,
     divide,
@@ -51,6 +52,7 @@ from reeslab import (
     unit_ideal,
     zero_ideal,
     WeightedGrevLex,
+    ZeroPolynomialError,
 )
 from reeslab.groebner import monic
 
@@ -292,6 +294,130 @@ def test_divisor_table_grown_one_by_one_keeps_its_order():
         whole = DivisorTable(polys, order)
         assert [e[:4] for e in grown.entries] == [e[:4] for e in whole.entries]
         assert grown.size == whole.size == len(polys)
+
+
+def test_divisor_table_refuses_zero_and_other_rings():
+    # a refused divisor leaves the table as it was: its entries, its
+    # next index, its ring and every division it gives
+    other = PolyRing(("x", "y", "z"), RationalField()).gens()[2]
+    f = x**3 * y + x * y**2 + y
+    for divisors in ([], [x * y - 1, R.zero, y**2 - 1]):
+        table = DivisorTable(divisors)
+        refusals = [(R.zero, ZeroPolynomialError)]
+        if divisors:
+            refusals.append((other, RingMismatchError))
+        for g, error in refusals:
+            before = (list(table.entries), table.size, table.ring)
+            with pytest.raises(error):
+                table.add(g)
+            assert (table.entries, table.size, table.ring) == before
+            assert divide(f, table, with_quotients=True) == divide(
+                f, divisors, with_quotients=True
+            )
+        # the table still grows, with the next index
+        assert table.add(x**2 - y) == (2, 0)
+        assert divide(f, table, with_quotients=True) == divide(
+            f, divisors + [x**2 - y], with_quotients=True
+        )
+
+
+def test_divisor_table_integer_form_is_primitive_with_positive_lead():
+    # -2x + 4y is stored as g~ = x - 2y = kappa*g with kappa = -1/2
+    (entry,) = DivisorTable([-2 * x + 4 * y]).entries
+    assert entry[3] == (1, 0)
+    assert entry[5:] == (1, (((0, 1), 2),), Fraction(-1, 2))
+    # over GF(p) the form is monic, with its tail read as residues
+    Rp = PolyRing(("x", "y"), PrimeField(7))
+    xp, yp = Rp.gens()
+    (entry,) = DivisorTable([3 * xp + yp]).entries
+    assert entry[5:] == (1, (((0, 1), 2),), 5)
+
+
+def textbook_buchberger(gens, order):
+    """Reduced basis by plain Buchberger over field elements.
+
+    Every pair of the growing list is reduced, with no criterion, by
+    list division; then the basis is minimalized, made monic and
+    tail-reduced (Cox-Little-O'Shea, ch. 2 §7), and sorted ascending in
+    the order, as `buchberger` returns it.  The pair of least lcm comes
+    first, which keeps the coefficients of the unreduced basis small.
+    """
+
+    def lcm_rank(pair):
+        lcm = tuple(
+            map(max, *(leading_term(basis[k], order)[0] for k in pair))
+        )
+        return sum(lcm), order.key(lcm)
+
+    basis = [g for g in gens if not g.is_zero]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = min(pairs, key=lcm_rank)
+        pairs.remove((i, j))
+        _, r = divide(s_polynomial(basis[i], basis[j], order), basis, order)
+        if not r.is_zero:
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(r)
+    minimal = []
+    for g in basis:
+        e = leading_term(g, order)[0]
+        if any(
+            all(a <= b for a, b in zip(leading_term(h, order)[0], e))
+            for h in minimal
+        ):
+            continue
+        minimal = [
+            h
+            for h in minimal
+            if not all(a <= b for a, b in zip(e, leading_term(h, order)[0]))
+        ]
+        minimal.append(monic(g, order))
+    reduced = []
+    for g in minimal:
+        e, c = leading_term(g, order)
+        tail = Polynomial(g.ring, {t: v for t, v in g.terms.items() if t != e})
+        others = [h for h in minimal if h is not g]
+        _, r = divide(tail, others, order)
+        reduced.append(r + Polynomial(g.ring, {e: c}))
+    return sorted(reduced, key=lambda g: order.key(leading_term(g, order)[0]))
+
+
+def _positive_degree_generator(rng, ring, order, lead_coeff, max_deg):
+    # one to three terms of degree 1..max_deg with coefficients in
+    # -3..3, the largest scaled to lead_coeff: no generator is a unit
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        e = [0] * ring.nvars
+        for _ in range(rng.randint(1, max_deg)):
+            e[rng.randrange(ring.nvars)] += 1
+        terms[tuple(e)] = rng.choice([-3, -2, -1, 1, 2, 3])
+    terms[max(terms, key=order.key)] = lead_coeff
+    return ring.from_terms(terms)
+
+
+def test_buchberger_matches_textbook_buchberger():
+    # the integer S-pair loop, its criteria and its masks against the
+    # plain loop over field elements; over GF(32003) the leads coerce
+    rng = random.Random(61)
+    names = ("x", "y", "z", "w")
+    fields = (RationalField(), PrimeField(32003))
+    leads = [2, Fraction(-7, 5), Fraction(10**30, 999983), 1, -3]
+    for trial in range(96):
+        nvars = 2 + trial % 3
+        ring = PolyRing(names[:nvars], fields[trial // 3 % 2])
+        order = _table_orders(nvars)[trial // 6 % 4]
+        while True:
+            gens = [
+                _positive_degree_generator(
+                    rng, ring, order, rng.choice(leads), 3 if nvars < 4 else 2
+                )
+                for _ in range(rng.randint(2, 3))
+            ]
+            if not all(g.is_monomial for g in gens):
+                break
+        expected = textbook_buchberger(gens, order)
+        assert buchberger(gens, order) == expected
+        assert Ideal(ring, gens).groebner(order).polys == tuple(expected)
 
 
 def _random_monomial_exps(rng, nvars, count, max_exp):
