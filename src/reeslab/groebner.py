@@ -159,11 +159,15 @@ def monic(f, order=DEFAULT_ORDER):
     return Polynomial(f.ring, {e: mul(c, inv) for e, c in f.terms.items()})
 
 
-def _primitive(nums, lead_exps, p):
+def _primitive(nums, lead_exps, field, inv=None):
     # (L, tail) of the integer form of the int polynomial `nums`, whose
-    # lead is x^lead_exps: primitive with L > 0 over Q, monic over GF(p)
-    if p:
-        inv = pow(nums[lead_exps], p - 2, p)
+    # lead is x^lead_exps: primitive with L > 0 over Q, monic over GF(p),
+    # where inv is the inverse of the lead coefficient if the caller has it
+    if isinstance(field, PrimeField):
+        p = field.p
+        if inv is None:
+            lc = nums[lead_exps]
+            inv = 1 if lc == 1 else field.invert(lc)
         return 1, tuple(
             (e, -n * inv % p) for e, n in nums.items() if e != lead_exps
         )
@@ -175,18 +179,13 @@ def _primitive(nums, lead_exps, p):
     )
 
 
-def _int_form(g, order):
-    # (lead exponents, L, tail, kappa) of the nonzero polynomial g
-    lead_exps, lc = leading_term(g, order)
-    p = _char(g.ring)
-    if p:
-        nums = g.terms
-    else:
-        den = lcm(*(c.denominator for c in g.terms.values()))
-        nums = {e: c.numerator * (den // c.denominator) for e, c in g.terms.items()}
-    lead, tail = _primitive(nums, lead_exps, p)
-    kappa = 1 if lc == lead else pow(lc, p - 2, p) if p else lead / lc
-    return lead_exps, lead, tail, kappa
+def _int_nums(g):
+    # the coefficients of g as ints: g's own over GF(p), g times the lcm
+    # of its denominators over Q
+    if _char(g.ring):
+        return g.terms
+    den = lcm(*(c.denominator for c in g.terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in g.terms.items()}
 
 
 def _monic_poly(ring, lead_exps, lead, tail):
@@ -204,7 +203,8 @@ def _distinct_forms(polys, order):
     forms = []
     seen = set()
     for g in polys:
-        lead_exps, lead, tail, _ = _int_form(g, order)
+        lead_exps, _ = leading_term(g, order)
+        lead, tail = _primitive(_int_nums(g), lead_exps, g.ring.field)
         mark = (lead_exps, lead, frozenset(tail))
         if mark not in seen:
             seen.add(mark)
@@ -254,7 +254,7 @@ class DivisorTable:
                 self.size += 1
                 continue
             self._check_ring(g)
-            self.entries.append(self._entry(*_int_form(g, order)))
+            self.entries.append(self._poly_entry(g))
         self.entries.sort()
 
     def _check_ring(self, g):
@@ -268,6 +268,15 @@ class DivisorTable:
         self.size += 1
         return (sum(e), self.order.key(e), idx, e, _support(e), lead, tail, kappa)
 
+    def _poly_entry(self, g):
+        # the entry of the nonzero polynomial g, whose integer form is
+        # kappa*g with kappa = L/lc
+        e, lc = leading_term(g, self.order)
+        field = g.ring.field
+        inv = 1 if lc == field.one else field.invert(lc)
+        lead, tail = _primitive(_int_nums(g), e, field, inv)
+        return self._entry(e, lead, tail, lead * inv)
+
     def add(self, g):
         """Append the nonzero g as the next divisor; returns its lead.
 
@@ -277,14 +286,23 @@ class DivisorTable:
         if g.is_zero:
             raise ZeroPolynomialError("cannot add the zero polynomial as a divisor")
         self._check_ring(g)
-        entry = self._entry(*_int_form(g, self.order))
+        entry = self._poly_entry(g)
         bisect.insort(self.entries, entry)
         return entry[3]
 
-    def add_form(self, lead_exps, lead, tail):
-        """Append the monic divisor whose integer form has lead exponents
-        `lead_exps`, leading coefficient `lead` and `tail`."""
+    def _add_form(self, lead_exps, lead, tail):
+        # append the monic divisor whose integer form has lead exponents
+        # `lead_exps`, leading coefficient `lead` and `tail`
         bisect.insort(self.entries, self._entry(lead_exps, lead, tail, lead))
+
+
+def _add_remainder(table, r, field):
+    # append the divisor whose int numerators are the remainder r, its
+    # terms in descending order, and return its integer form
+    lead_exps = next(iter(r))
+    form = (lead_exps,) + _primitive(r, lead_exps, field)
+    table._add_form(*form)
+    return form
 
 
 def _heap_item(memo, key, e):
@@ -477,7 +495,6 @@ def buchberger(gens, order=DEFAULT_ORDER, budget=None):
         basis.append(form)
         leads.append(form[0])
         masks.append(_support(form[0]))
-        table.add_form(*form)
 
     def queue_pairs(t):
         nonlocal pushes
@@ -502,6 +519,7 @@ def buchberger(gens, order=DEFAULT_ORDER, budget=None):
             )
 
     for form in _distinct_forms(nonzero, order):
+        table._add_form(*form)
         append(form)
     for t in range(len(basis)):
         queue_pairs(t)
@@ -544,9 +562,7 @@ def buchberger(gens, order=DEFAULT_ORDER, budget=None):
         r, _ = _reduce(work, 1, table, p)
         if not r:
             continue
-        # the first term the heap left unreduced is the lead
-        lead_exps = next(iter(r))
-        append((lead_exps,) + _primitive(r, lead_exps, p))
+        append(_add_remainder(table, r, ring.field))
         if len(basis) > budget.max_basis:
             raise ResourceBudgetError(
                 f"basis size budget {budget.max_basis} exceeded; "
@@ -570,7 +586,7 @@ def _reduce_basis(ring, basis, order, memo):
     table = DivisorTable((), order)
     table.memo = memo
     for form in minimal:
-        table.add_form(*form)
+        table._add_form(*form)
     p = _char(ring)
     reduced = []
     for lead_exps, lead, tail in minimal:
@@ -770,18 +786,12 @@ def interreduce(polys, order=DEFAULT_ORDER):
     p = _char(ring)
     kept = []
     table = DivisorTable((), order)
-    for form in forms:
-        if kept:
-            lead_exps, lead, tail = form
-            work = {e: -c for e, c in tail}
-            work[lead_exps] = lead
-            r, _ = _reduce(work, 1, table, p)
-            if not r:
-                continue
-            lead_exps = next(iter(r))
-            form = (lead_exps,) + _primitive(r, lead_exps, p)
-        table.add_form(*form)
-        kept.append(_monic_poly(ring, *form))
+    for lead_exps, lead, tail in forms:
+        work = {e: -c for e, c in tail}
+        work[lead_exps] = lead
+        r, _ = _reduce(work, 1, table, p)
+        if r:
+            kept.append(_monic_poly(ring, *_add_remainder(table, r, ring.field)))
     return kept
 
 
