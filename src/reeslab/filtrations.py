@@ -207,6 +207,7 @@ def explicit_filtration_table(fi, fj):
     for m in range(1, top + 1):
         a = fi.level(m)
         b = fj.level(m)
+        a.groebner()  # the length reads it; the check reuses it
         if not a.contains_ideal(b):
             raise ContainmentError(
                 f"level {m} of the second filtration is not inside "

@@ -47,7 +47,24 @@ divides another term of the basis (Cox-Little-O'Shea, ch. 2 §4).  The
 basis is unique, so it is the one the S-pair loop would return.
 `minimal_exponents` finds those generators in one pass by ascending
 degree, and products and powers of monomial ideals add exponents and
-minimalize once, with no polynomial arithmetic.
+minimalize once, with no polynomial arithmetic.  Products of other
+ideals multiply the integer coefficients of their generators, and
+`interreduce`'s integer path takes one primitive form per product.
+
+Membership in a homogeneous ideal needs only the low-degree part of its
+basis.  When every generator is homogeneous, S-polynomials and their
+remainders are homogeneous of the degree of the pair's lcm, and the
+normal strategy treats the pairs by ascending lcm degree; so stopping
+the loop before the first pair above a degree D leaves exactly the
+elements of degree at most D of the reduced basis, the truncated or
+D-Groebner basis (Becker-Weispfenning, Gröbner Bases, §10.2;
+Kreuzer-Robbiano, Computational Commutative Algebra 2, §4.5).  A
+homogeneous polynomial of degree at most D divides by it exactly as by
+the full basis.  `Ideal.contains` and `Ideal.contains_ideal` use such a
+basis, cut at the largest degree asked about, for homogeneous questions
+to a homogeneous ideal that is not monomial and has no full basis
+cached yet; everything else, and `Ideal.groebner`, sees full bases
+only.
 """
 
 from __future__ import annotations
@@ -197,19 +214,46 @@ def _monic_poly(ring, lead_exps, lead, tail):
     return Polynomial(ring, terms)
 
 
-def _distinct_forms(polys, order):
-    # the integer forms (lead exponents, L, tail) of the nonzero
-    # polynomials, keeping the first of several scalar multiples
-    forms = []
-    seen = set()
+def _poly_forms(polys, order):
+    # the integer forms (lead exponents, L, tail) of the nonzero polys
     for g in polys:
         lead_exps, _ = leading_term(g, order)
-        lead, tail = _primitive(_int_nums(g), lead_exps, g.ring.field)
+        yield (lead_exps,) + _primitive(_int_nums(g), lead_exps, g.ring.field)
+
+
+def _product_forms(ring, fs, gs, order):
+    # the integer forms of the products f*g, multiplied on the int
+    # coefficients of f and g; the lead of a product is the product of
+    # the leads, since a monomial order respects multiplication
+    field = ring.field
+    p = _char(ring)
+    right = [(leading_term(g, order)[0], _int_nums(g)) for g in gs]
+    for f in fs:
+        lead_f, _ = leading_term(f, order)
+        nums_f = _int_nums(f).items()
+        for lead_g, nums_g in right:
+            nums = {}
+            for ea, ca in nums_f:
+                for eb, cb in nums_g.items():
+                    e = tuple(map(add, ea, eb))
+                    nums[e] = nums.get(e, 0) + ca * cb
+            if p:
+                nums = {e: c % p for e, c in nums.items()}
+            nums = {e: c for e, c in nums.items() if c}
+            lead_exps = tuple(map(add, lead_f, lead_g))
+            yield (lead_exps,) + _primitive(nums, lead_exps, field)
+
+
+def _distinct_forms(forms):
+    # the integer forms, keeping the first of several scalar multiples
+    kept = []
+    seen = set()
+    for lead_exps, lead, tail in forms:
         mark = (lead_exps, lead, frozenset(tail))
         if mark not in seen:
             seen.add(mark)
-            forms.append((lead_exps, lead, tail))
-    return forms
+            kept.append((lead_exps, lead, tail))
+    return kept
 
 
 class DivisorTable:
@@ -445,7 +489,13 @@ def _monic_multiple(f, lead, lc, target):
     return Polynomial(f.ring, terms)
 
 
-def buchberger(gens, order=DEFAULT_ORDER, budget=None):
+class _Truncated(list):
+    """A reduced basis through a degree cap, with pairs above it left."""
+
+    __slots__ = ()
+
+
+def buchberger(gens, order=DEFAULT_ORDER, budget=None, _degree=None):
     """Reduced Groebner basis of the ideal spanned by the generators.
 
     Monomial generators return their minimal monomials at once.  Others
@@ -454,6 +504,12 @@ def buchberger(gens, order=DEFAULT_ORDER, budget=None):
     then generator indices.  Pairs with coprime leads are never queued;
     the chain criterion drops a pair when a third basis element divides
     its lcm and both flanking pairs were already treated.
+
+    `_degree`, for homogeneous generators only, stops the loop before
+    the first pair whose lcm has a higher degree.  What it then returns,
+    as a `_Truncated` list, are the elements of degree at most `_degree`
+    of the reduced basis; a loop that runs out of pairs first returns
+    the whole reduced basis as a plain list.
 
     The loop keeps each basis element as its integer form (lead
     exponents, L, tail), the data of its `DivisorTable` entry.  The
@@ -518,12 +574,13 @@ def buchberger(gens, order=DEFAULT_ORDER, budget=None):
                 "raise REESLAB_BUDGET pairs=N"
             )
 
-    for form in _distinct_forms(nonzero, order):
+    for form in _distinct_forms(_poly_forms(nonzero, order)):
         table._add_form(*form)
         append(form)
     for t in range(len(basis)):
         queue_pairs(t)
-    while heap:
+    cap = float("inf") if _degree is None else _degree
+    while heap and heap[0][0] <= cap:
         _, _, i, j = heapq.heappop(heap)
         pending.discard((i, j))
         lcm = _exps_lcm(leads[i], leads[j])
@@ -569,7 +626,13 @@ def buchberger(gens, order=DEFAULT_ORDER, budget=None):
                 "raise REESLAB_BUDGET basis=N"
             )
         queue_pairs(len(basis) - 1)
-    return _reduce_basis(ring, basis, order, table.memo)
+    if not heap:
+        return _reduce_basis(ring, basis, order, table.memo)
+    # every pair left, and every element it would add, lies above the
+    # cap, and homogeneous division never leaves a degree, so the
+    # elements through the cap are already those of the reduced basis
+    low = [form for form in basis if sum(form[0]) <= cap]
+    return _Truncated(_reduce_basis(ring, low, order, table.memo))
 
 
 def _reduce_basis(ring, basis, order, memo):
@@ -650,10 +713,12 @@ class Ideal:
 
     The generator list keeps its given order (zeros dropped, duplicates
     collapsed); value-level questions go through a Groebner basis,
-    cached per monomial order.
+    cached per monomial order.  Membership of homogeneous polynomials in
+    a homogeneous ideal may instead read a basis truncated at their
+    degree, kept beside the full ones; `groebner` never returns it.
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_cache")
+    __slots__ = ("ring", "gens", "_gb", "_cache", "_low")
 
     def __init__(self, ring, gens=()):
         polys = []
@@ -673,6 +738,7 @@ class Ideal:
         self.gens = tuple(polys)
         self._gb = {}
         self._cache = {}
+        self._low = None  # (degree cap, truncated basis) or None
 
     def __repr__(self):
         inner = ", ".join(poly_str(g) for g in self.gens)
@@ -685,13 +751,50 @@ class Ideal:
             self._gb[order] = gb
         return gb
 
+    def is_homogeneous(self):
+        """Is every generator homogeneous?"""
+        return all(g.is_homogeneous() for g in self.gens)
+
+    def _membership_basis(self, polys):
+        # a basis whose normal forms decide membership of the nonzero
+        # polys: the full basis when it is cached; for homogeneous polys
+        # in a homogeneous ideal that is not monomial, the reduced basis
+        # through their top degree, which holds every element a division
+        # of theirs can use; the full basis otherwise
+        gb = self._gb.get(DEFAULT_ORDER)
+        if (
+            gb is not None
+            or _monomial_exps(self.gens) is not None
+            or not all(f.is_homogeneous() for f in polys)
+            or not self.is_homogeneous()
+        ):
+            return self.groebner()
+        degree = max(total_degree(f) for f in polys)
+        if self._low is not None and self._low[0] >= degree:
+            return self._low[1]
+        basis = buchberger(self.gens, DEFAULT_ORDER, _degree=degree)
+        gb = GroebnerBasis(self.ring, DEFAULT_ORDER, basis)
+        if isinstance(basis, _Truncated):
+            self._low = (degree, gb)
+        else:
+            self._gb[DEFAULT_ORDER] = gb
+            self._low = None
+        return gb
+
     def contains(self, f):
         if isinstance(f, (int, Fraction)):
             f = self.ring.const(f)
-        return self.groebner().contains(f)
+        if f.is_zero:
+            return True
+        if f.ring != self.ring:
+            raise RingMismatchError(f"{self.ring!r} vs {f.ring!r}")
+        return self._membership_basis((f,)).contains(f)
 
     def contains_ideal(self, other):
-        gb = self.groebner()
+        _same_ring(self, other)
+        if other.is_zero:
+            return True
+        gb = self._membership_basis(other.gens)
         return all(gb.contains(g) for g in other.gens)
 
     @property
@@ -701,6 +804,10 @@ class Ideal:
     def is_unit(self):
         if not self.gens:
             return False
+        if self.is_homogeneous():
+            # a homogeneous ideal without a nonzero constant lies in the
+            # ideal of the variables
+            return any(total_degree(g) == 0 for g in self.gens)
         return self.groebner().is_unit
 
 
@@ -740,8 +847,8 @@ def ideal_product(a, b):
     if ea is not None and eb is not None:
         exps = [tuple(map(add, e, f)) for e in ea for f in eb]
         return Ideal(a.ring, _monomials(a.ring, minimal_exponents(exps)))
-    prods = [f * g for f in a.gens for g in b.gens]
-    return Ideal(a.ring, interreduce(prods))
+    forms = _distinct_forms(_product_forms(a.ring, a.gens, b.gens, DEFAULT_ORDER))
+    return Ideal(a.ring, _interreduce_forms(a.ring, forms, DEFAULT_ORDER))
 
 
 def ideal_power(a, n):
@@ -778,8 +885,12 @@ def interreduce(polys, order=DEFAULT_ORDER):
     exps = _monomial_exps(polys)
     if exps is not None:
         return _monomials(polys[0].ring, minimal_exponents(exps, order))
-    ring = polys[0].ring
-    forms = _distinct_forms(polys, order)
+    forms = _distinct_forms(_poly_forms(polys, order))
+    return _interreduce_forms(polys[0].ring, forms, order)
+
+
+def _interreduce_forms(ring, forms, order):
+    # interreduce's general branch, on distinct integer forms
     if len(forms) > _INTERREDUCE_NF_CAP:
         return [_monic_poly(ring, *form) for form in forms]
     forms.sort(key=lambda form: order.key(form[0]))

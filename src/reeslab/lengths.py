@@ -169,23 +169,23 @@ def colength(a):
     return sum(staircase_histogram(leads, ring.nvars, bound))
 
 
-def _is_graded(a):
-    return all(g.is_homogeneous() for g in a.gens)
-
-
 def subquotient_length(a, b, check_containment=True):
     """The length of a/b for ideals b inside a, certified exactly."""
     if a.ring != b.ring:
         raise RingMismatchError(f"{a.ring!r} vs {b.ring!r}")
-    if check_containment and not a.contains_ideal(b):
-        raise ContainmentError("the second ideal is not inside the first")
+    if check_containment:
+        # the length reads the full basis of a: built first, it serves
+        # the containment check too
+        a.groebner()
+        if not a.contains_ideal(b):
+            raise ContainmentError("the second ideal is not inside the first")
     if a.is_zero:
         return 0
     if b.is_zero:
         raise LengthCertificationError(
             "a nonzero ideal has infinite length over the zero ideal"
         )
-    if _is_graded(a) and _is_graded(b):
+    if a.is_homogeneous() and b.is_homogeneous():
         return _graded_subquotient(a, b)
     return _general_subquotient(a, b)
 
@@ -289,6 +289,7 @@ def hilbert_samples(a, b, k_range):
         raise ValueError("empty sample range")
     if ks != list(range(ks[0], ks[0] + len(ks))) or ks[0] < 0:
         raise ValueError("sample range must be consecutive nonnegative")
+    a.groebner()  # every length below reads it; the check reuses it
     if not a.contains_ideal(b):
         raise ContainmentError("the second ideal is not inside the first")
     values = []

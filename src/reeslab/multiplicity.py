@@ -96,6 +96,10 @@ def multiplicity_function(outer, inner, n_range=None, stab_n_max=3, window=3):
     here are recorded as assumed, failed hypotheses make the verdict
     not applicable.
     """
+    # the lengths at n = 1 and the verdicts read the full bases of both
+    # ideals: built first, they serve the membership tests too
+    outer.groebner()
+    inner.groebner()
     _require_containment(outer, inner)
     proxy, r = stabilized_colon(outer, inner, stab_n_max)
     t = 0 if proxy.is_unit() else local_dimension(proxy)

@@ -37,7 +37,6 @@ from .groebner import (
 )
 from .lengths import (
     FunctionTable,
-    _is_graded,
     colength,
     m_power,
     maximal_ideal,
@@ -64,6 +63,9 @@ def _require_containment(outer, inner):
 
 def rees_function(outer, inner, n_range=range(1, 9)):
     """n -> length of outer^n/inner^n; the failing n is named on error."""
+    # the length at n = 1 reads the full basis of outer: built first, it
+    # serves the containment check too
+    outer.groebner()
     _require_containment(outer, inner)
     ns = _as_consecutive(n_range)
     values = []
@@ -173,7 +175,7 @@ def local_dimension(a):
     if a.is_unit():
         raise PreconditionError("the unit ideal has an empty locus")
     gb = a.groebner()
-    if _is_graded(a):
+    if a.is_homogeneous():
         return _quotient_dimension_from_leads(gb.lead_exps, ring.nvars)
     k = ring.dim + max(int(sum(e)) for e in gb.lead_exps) + 5
     cap = k + 12

@@ -291,11 +291,12 @@ class PolyRing:
 class Polynomial:
     """Immutable sparse polynomial; do not mutate `terms` after construction."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
+        self._hash = None
 
     def _check(self, other):
         if self.ring != other.ring:
@@ -325,7 +326,11 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        # computed once: the terms never change after construction
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.ring, frozenset(self.terms.items())))
+        return h
 
     def __neg__(self):
         neg = self.ring.field.neg

@@ -24,6 +24,7 @@ from reeslab import (
     BlockElimination,
     DivisorTable,
     GrevLex,
+    GroebnerBasis,
     Ideal,
     Lex,
     PolyRing,
@@ -49,11 +50,13 @@ from reeslab import (
     radical_membership,
     s_polynomial,
     saturation,
+    total_degree,
     unit_ideal,
     zero_ideal,
     WeightedGrevLex,
     ZeroPolynomialError,
 )
+import reeslab.groebner as groebner_module
 from reeslab.groebner import monic
 
 R = PolyRing(("x", "y"), RationalField())
@@ -675,3 +678,153 @@ def test_groebner_cache_reused():
     gb1 = a.groebner()
     gb2 = a.groebner()
     assert gb1 is gb2
+
+
+def _homogeneous_generator(rng, ring, degree):
+    # one to three terms of the given degree, coefficients in -3..3
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        e = [0] * ring.nvars
+        for _ in range(degree):
+            e[rng.randrange(ring.nvars)] += 1
+        terms[tuple(e)] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return ring.from_terms(terms)
+
+
+def _record_caps(monkeypatch):
+    # the degree cap of every Buchberger run an Ideal asks for
+    caps = []
+    run = groebner_module.buchberger
+
+    def recording(gens, order=GrevLex(), budget=None, _degree=None):
+        caps.append(_degree)
+        return run(gens, order, budget, _degree)
+
+    monkeypatch.setattr(groebner_module, "buchberger", recording)
+    return caps
+
+
+def test_truncated_basis_is_the_low_degree_part(monkeypatch):
+    # the basis through a cap against the full one, and membership read
+    # off it against normal forms by the full basis
+    rng = random.Random(67)
+    names = ("x", "y", "z", "w")
+    fields = (RationalField(), PrimeField(32003))
+    caps = _record_caps(monkeypatch)
+    for trial in range(36):
+        nvars = 2 + trial % 3
+        ring = PolyRing(names[:nvars], fields[trial // 3 % 2])
+        top_deg = 3 if nvars < 4 else 2
+        while True:
+            gens = [
+                _homogeneous_generator(rng, ring, rng.randint(1, top_deg))
+                for _ in range(rng.randint(2, 3))
+            ]
+            if not all(g.is_monomial for g in gens):
+                break
+        full = buchberger(gens)
+        top = max(total_degree(g) for g in full)
+        for cap in range(top + 2):
+            # a run that treats every pair before passing the cap returns
+            # the whole basis, as a plain list
+            low = buchberger(gens, _degree=cap)
+            if isinstance(low, groebner_module._Truncated):
+                assert low == [g for g in full if total_degree(g) <= cap]
+            else:
+                assert low == full
+        reference = GroebnerBasis(ring, GrevLex(), full)
+        # members of every degree, near misses, and sums across degrees
+        first, last = ring.gens()[0], ring.gens()[-1]
+        targets = list(full)
+        targets += [v * g for v in ring.gens() for g in full[:2]]
+        targets += [g + first ** total_degree(g) for g in full]
+        targets += [g + last ** (total_degree(g) + 1) for g in full[:2]]
+        targets += [full[0] + full[-1], 1 + full[0]]
+        targets = [f for f in targets if f]
+        homogeneous = sorted(
+            (f for f in targets if f.is_homogeneous()), key=total_degree
+        )
+        # one ideal answers in ascending degree, so each answer may grow
+        # the basis it reuses
+        growing = Ideal(ring, gens)
+        for f in homogeneous:
+            del caps[:]
+            assert Ideal(ring, gens).contains(f) == reference.contains(f)
+            assert caps == [total_degree(f)]
+            assert growing.contains(f) == reference.contains(f)
+        for f in targets:
+            if not f.is_homogeneous():
+                del caps[:]
+                assert Ideal(ring, gens).contains(f) == reference.contains(f)
+                assert caps == [None]
+        for k in range(1, len(targets)):
+            other = Ideal(ring, targets[k - 1 : k + 2])
+            want = all(reference.contains(f) for f in other.gens)
+            assert Ideal(ring, gens).contains_ideal(other) == want
+            assert growing.contains_ideal(other) == want
+        assert growing.groebner().polys == tuple(full)
+
+
+def test_truncation_keeps_to_homogeneous_ideals(monkeypatch):
+    # a non-homogeneous ideal answers from its full basis: y^2 lies in
+    # (x^2 + y, xy) only through an S-pair of degree 3
+    caps = _record_caps(monkeypatch)
+    for field in (RationalField(), PrimeField(32003)):
+        ring = PolyRing(("x", "y"), field)
+        u, v = ring.gens()
+        a = Ideal(ring, (u**2 + v, u * v))
+        assert a.contains(v**2)
+        assert a.contains_ideal(Ideal(ring, (v**2, u**3)))
+        assert not a.contains(u**2)
+        # a monomial ideal keeps its exact path
+        assert Ideal(ring, (u**2, v**3)).contains(u * v**3)
+    assert caps == [None] * 4
+    # a homogeneous ideal is the unit ideal only with a constant generator
+    del caps[:]
+    assert not Ideal(R, (x**2 - y**2, x * y)).is_unit()
+    assert Ideal(R, (x**2 - y**2, R.const(3))).is_unit()
+    assert caps == []
+
+
+def test_ideal_product_matches_interreduced_products():
+    # products multiplied on integer forms against Polynomial products
+    rng = random.Random(71)
+    names = ("x", "y", "z")
+    leads = [2, Fraction(-7, 5), Fraction(10**30, 999983), 1, -3]
+    for trial in range(40):
+        nvars = 2 + trial % 2
+        field = (RationalField(), PrimeField(32003))[trial // 2 % 2]
+        ring = PolyRing(names[:nvars], field)
+        a, b = (
+            Ideal(ring, [
+                _positive_degree_generator(
+                    rng, ring, GrevLex(), rng.choice(leads), max_deg
+                )
+                for _ in range(rng.randint(1, 3))
+            ])
+            for max_deg in (3, 2)
+        )
+        expected = interreduce([f * g for f in a.gens for g in b.gens])
+        assert list(ideal_product(a, b).gens) == expected
+    # terms that cancel in the product, over Q and modulo p
+    p = 32003
+    ring = PolyRing(("x", "y"), PrimeField(p))
+    u, v = ring.gens()
+    a = Ideal(ring, (u + v, u**2 + 2 * v**2))
+    b = Ideal(ring, (u - v, u + (p - 2) * v))
+    assert list(ideal_product(a, b).gens) == interreduce(
+        [f * g for f in a.gens for g in b.gens]
+    )
+    assert list(ideal_product(Ideal(R, (x + y,)), Ideal(R, (x - y,))).gens) == [
+        x**2 - y**2
+    ]
+    # 324 distinct products: more than interreduce reduces, so each
+    # product's form is kept as it is built
+    for field in (RationalField(), PrimeField(p)):
+        ring = PolyRing(("x", "y", "z", "w"), field)
+        u, v, s, t = ring.gens()
+        a = Ideal(ring, [s**i * (u + v) for i in range(18)])
+        b = Ideal(ring, [t**j * (u - v) for j in range(18)])
+        prods = [f * g for f in a.gens for g in b.gens]
+        assert len(prods) > groebner_module._INTERREDUCE_NF_CAP
+        assert list(ideal_product(a, b).gens) == interreduce(prods)
