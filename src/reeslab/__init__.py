@@ -65,7 +65,6 @@ from .lengths import (
     hilbert_samples,
     maximal_ideal,
     m_power,
-    staircase_histogram,
     subquotient_length,
     truncated_module_sum,
 )
@@ -73,12 +72,10 @@ from .multiplicity import (
     MultiplicityReport,
     module_multiplicity,
     multiplicity_function,
-    stabilized_colon,
 )
 from .reduction import (
     CriterionReport,
     DSequenceReport,
-    PairReport,
     RadicalColonReport,
     ReductionVerdict,
     analytic_spread,
@@ -87,7 +84,6 @@ from .reduction import (
     grade_cm,
     integral_dependence,
     local_dimension,
-    pair_report,
     radical_colon_stability,
     radical_contains_variables,
     reduction_test,

@@ -1,12 +1,17 @@
 """Lengths of finite quotients and subquotients from Hilbert series.
 
-Everything rests on the numerator N(t) of the Hilbert series
-N(t)/(1-t)^n of R/in(a), computed from the lead exponents.  colength
-counts the monomials outside the lead-term ideal.  For a pair of ideals
-B inside A the subquotient length is exact: for graded ideals A/B has
-Hilbert series (N_B - N_A)/(1-t)^n, finite exactly when (1-t)^n divides
-the numerator difference, and its length is the quotient at t = 1.
-Other ideals are truncated by a power of the maximal ideal whose
+Everything rests on the numerator N_a(t) of the Hilbert series
+N_a(t)/(1-t)^n of R/in(a), computed from the lead exponents, and on
+one split of the largest power of 1 - t off a numerator or off a
+difference of two.  R/in(a) has the colength and the dimension of R/a;
+for graded ideals b inside a, the subquotient a/b has Hilbert series
+(N_b - N_a)/(1-t)^n.  When (1-t)^c splits off the numerator, the
+quotient has dimension n - c, finite length exactly when c = n, and
+then its length is the cofactor at t = 1.  colength and the graded
+subquotient lengths read this split; so do reduction.local_dimension
+and reduction.analytic_spread for dimensions, and
+multiplicity.module_multiplicity for graded multiplicities.  Other
+subquotients are truncated by a power of the maximal ideal whose
 sufficiency is checked explicitly, within the budget's truncation cap.
 All values are exact integers; anything not certifiably finite raises.
 """
@@ -127,46 +132,48 @@ def _numerator(gens):
     ]
 
 
-def staircase_histogram(lead_exps, nvars, max_degree):
-    """Per-degree counts of monomials outside the monomial ideal.
+def _split_pole(b, a=None):
+    """(c, q) with N_b - N_a = (1-t)^c·q and c <= n as large as possible.
 
-    Entry e of the result is the number of degree-e monomials divisible
-    by none of the given exponent tuples, for e = 0..max_degree: the
-    expansion of the Hilbert series N(t)/(1-t)^nvars.
+    N_b and N_a are the Hilbert numerators of R/b and R/a; without a,
+    N_b alone.  A quotient with Hilbert series (N_b - N_a)/(1-t)^n, such
+    as R/b, or a/b for graded b inside a, has dimension n - c, finite
+    length exactly when c = n, and then length q(1); otherwise q(1) is
+    its multiplicity (Bruns-Herzog, Cohen-Macaulay Rings, ch. 4).  The
+    zero series splits off every power.
     """
-    num = _numerator(minimal_exponents(lead_exps))
-    hist = (num + [0] * (max_degree + 1))[: max_degree + 1]
-    for _ in range(nvars):
-        hist = list(accumulate(hist))  # times 1/(1-t)
-    return hist
+    # the leads of a reduced basis are its minimal generators already
+    nvars = b.ring.nvars
+    series = _numerator(b.groebner().lead_exps)
+    if a is not None:
+        series = [
+            nb - na
+            for nb, na in zip_longest(
+                series, _numerator(a.groebner().lead_exps), fillvalue=0
+            )
+        ]
+    if not any(series):
+        return nvars, []
+    c = 0
+    while c < nvars:
+        # dividing by 1 - t takes prefix sums; exact when the last is 0
+        q = list(accumulate(series))
+        if q.pop():
+            break
+        series = q
+        c += 1
+    return c, series
 
 
 def colength(a):
     """The length of R/a when finite; the count of standard monomials."""
-    ring = a.ring
-    if a.is_zero:
-        raise LengthCertificationError("the zero ideal has infinite colength")
-    gb = a.groebner()
-    if gb.is_unit:
-        return 0
-    # the leads of a reduced basis are its minimal generators already
-    leads = gb.lead_exps
-    # finite exactly when the lead-term ideal holds a pure power of
-    # every variable; the bound below then caps standard monomials
-    bound = 0
-    for i in range(ring.nvars):
-        pures = [
-            e[i]
-            for e in leads
-            if all(x == 0 for j, x in enumerate(e) if j != i)
-        ]
-        if not pures:
-            raise LengthCertificationError(
-                "colength is infinite: no pure power of "
-                f"{ring.variables[i]} among the lead terms"
-            )
-        bound += min(pures) - 1
-    return sum(staircase_histogram(leads, ring.nvars, bound))
+    nvars = a.ring.nvars
+    c, q = _split_pole(a)
+    if c < nvars:
+        raise LengthCertificationError(
+            f"colength is infinite: the quotient has dimension {nvars - c}"
+        )
+    return sum(q)
 
 
 def subquotient_length(a, b, check_containment=True):
@@ -193,30 +200,20 @@ def subquotient_length(a, b, check_containment=True):
 def _graded_subquotient(a, b):
     # the Hilbert series of a/b is (N_b - N_a)/(1-t)^n; the length is
     # finite exactly when that is a polynomial, and is then its value
-    # at t = 1; the leads of a reduced basis are minimal already
-    series = [
-        nb - na
-        for nb, na in zip_longest(
-            _numerator(b.groebner().lead_exps),
-            _numerator(a.groebner().lead_exps),
-            fillvalue=0,
+    # at t = 1
+    nvars = a.ring.nvars
+    c, q = _split_pole(b, a)
+    if c < nvars:
+        raise LengthCertificationError(
+            "infinite length: the Hilbert series of the subquotient "
+            "has a pole at t = 1"
         )
-    ]
-    for _ in range(a.ring.nvars):
-        # dividing by 1 - t takes prefix sums; exact when the last is 0
-        # (the zero polynomial runs out of terms and stays zero)
-        series = list(accumulate(series))
-        if series and series.pop():
-            raise LengthCertificationError(
-                "infinite length: the Hilbert series of the subquotient "
-                "has a pole at t = 1"
-            )
-    if any(c < 0 for c in series):
+    if any(x < 0 for x in q):
         raise LengthCertificationError(
             "the Hilbert series of the subquotient has a negative "
             "coefficient; the second ideal is not inside the first"
         )
-    return sum(series)
+    return sum(q)
 
 
 def _general_subquotient(a, b):

@@ -5,7 +5,11 @@ dimension t fixes which normalized coefficient of the inner truncation
 function counts.  At t = 0 the quotient has finite length and the
 multiplicity is that length itself, which the length engine certifies
 directly; the statement that the inner function is eventually this
-constant is exactly the degree-zero case of the fit.
+constant is exactly the degree-zero case of the fit.  For t > 0 a
+graded pair reads the multiplicity off the Hilbert numerators of the
+two powers, with no sampling; only other pairs fit samples of the
+truncation function, where truncation by powers of m is the local
+certificate.
 """
 
 from __future__ import annotations
@@ -24,8 +28,14 @@ from .errors import (
     PreconditionError,
 )
 from .groebner import Ideal, ideal_equal, ideal_power, radical_membership
-from .lengths import FunctionTable, hilbert_samples, subquotient_length
+from .lengths import (
+    FunctionTable,
+    _split_pole,
+    hilbert_samples,
+    subquotient_length,
+)
 from .reduction import (
+    _as_consecutive,
     _require_containment,
     analytic_spread,
     depth_positive,
@@ -37,20 +47,19 @@ from .reduction import (
 )
 
 
-def stabilized_colon(outer, inner, n_max=3):
-    """The colon proxy whose radical the chain settles on, plus the
-    first stable index."""
-    report = radical_colon_stability(outer, inner, n_max)
-    return report.proxy, report.stable_from
+def module_multiplicity(outer, inner, n, t):
+    """Multiplicity of outer^n/inner^n against dimension t.
 
-
-def module_multiplicity(outer, inner, n, t, k_range=None):
-    """Multiplicity of outer^n/inner^n sampled against dimension t.
-
-    The inner function k -> length of outer^n/(inner^n + m^k·outer^n)
-    is fitted and its normalized coefficient at degree t returned.  For
-    t = 0 that function is eventually the certified finite length of
-    the quotient itself, which is returned without sampling.
+    It is the normalized coefficient at degree t of the inner function
+    k -> length of M/m^k·M, M = outer^n/inner^n.  For t = 0 that function
+    is eventually the certified finite length of M, which is returned.
+    Graded pairs read it off the Hilbert numerators: with
+    N_{inner^n} - N_{outer^n} = (1-s)^c·Q in r variables, M has
+    dimension r - c.  m^k·M lies between the parts of M above two
+    shifts of k, so the inner function and the Hilbert sums of M share
+    their degree and leading coefficient: the value is Q(1) when
+    r - c = t and 0 below (Bruns-Herzog, Cohen-Macaulay Rings, ch. 4).
+    Other pairs fit samples of the inner function.
     """
     _require_containment(outer, inner)
     if t < 0:
@@ -61,10 +70,15 @@ def module_multiplicity(outer, inner, n, t, k_range=None):
         return Fraction(
             subquotient_length(big, small, check_containment=False)
         )
-    if k_range is None:
-        ks = list(range(1, t + 7))
-    else:
-        ks = list(k_range)
+    if big.is_homogeneous() and small.is_homogeneous():
+        c, q = _split_pole(small, big)
+        dim = outer.ring.nvars - c
+        if dim > t:
+            raise PreconditionError(
+                f"module dimension {dim} exceeds the dimension bound {t}"
+            )
+        return Fraction(sum(q) if dim == t else 0)
+    ks = list(range(1, t + 7))
     while True:
         table = hilbert_samples(big, small, range(ks[0], ks[-1] + 1))
         try:
@@ -101,15 +115,14 @@ def multiplicity_function(outer, inner, n_range=None, stab_n_max=3, window=3):
     outer.groebner()
     inner.groebner()
     _require_containment(outer, inner)
-    proxy, r = stabilized_colon(outer, inner, stab_n_max)
+    stab = radical_colon_stability(outer, inner, stab_n_max)
+    proxy, r = stab.proxy, stab.stable_from
     t = 0 if proxy.is_unit() else local_dimension(proxy)
-    ns = list(n_range) if n_range is not None else list(range(r, r + 5))
+    ns = _as_consecutive(range(r, r + 5) if n_range is None else n_range)
     if ns[0] < r:
         raise PreconditionError(
             f"the multiplicity table starts at the stable index {r}"
         )
-    if ns != list(range(ns[0], ns[0] + len(ns))):
-        raise PreconditionError("sample range must be consecutive ascending")
     values = []
     for n in ns:
         e = module_multiplicity(outer, inner, n, t)

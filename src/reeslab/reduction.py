@@ -2,16 +2,17 @@
 grade, d-sequences, depth and colon-radical stability for ideal pairs.
 
 The ambient ring is a polynomial ring read at the origin, so grade and
-height agree and the dimension of a quotient can be read off lead-term
-ideals.  Verdicts distinguish a witnessed fact from an exhausted search:
-a direct reduction search that merely ran out of exponents is upgraded
+height agree.  The dimension of a graded quotient R/a, and with it
+grade and analytic spread (on the fiber), is n minus the power of
+1 - t that divides the Hilbert numerator of the lead-term ideal of a.
+Verdicts distinguish a witnessed fact from an exhausted search: a
+direct reduction search that merely ran out of exponents is upgraded
 to a certified negative only when the degree criterion concurs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .asymptotics import (
     EventualPolynomial,
@@ -37,6 +38,7 @@ from .groebner import (
 )
 from .lengths import (
     FunctionTable,
+    _split_pole,
     colength,
     m_power,
     maximal_ideal,
@@ -149,34 +151,19 @@ def integral_dependence(f, inner, n_max=10):
     return reduction_test(outer, inner, n_max)
 
 
-def _quotient_dimension_from_leads(lead_exps, nvars):
-    # largest coordinate subspace meeting no generator's support; a
-    # multiple's support contains its divisor's, so the leads need no
-    # minimalizing
-    supports = {frozenset(i for i, x in enumerate(e) if x) for e in lead_exps}
-    for size in range(nvars, -1, -1):
-        for subset in combinations(range(nvars), size):
-            sset = set(subset)
-            if all(not s <= sset for s in supports):
-                return size
-    return 0
-
-
 def local_dimension(a):
     """Dimension of the vanishing locus at the origin.
 
-    Graded ideals read it off the lead-term ideal: the largest set of
-    variables that no lead term lives on.  Others take the degree of
-    k -> colength(a + m^k), sampled as written.
+    Graded ideals read it off the Hilbert numerator N of R/a: the
+    dimension is n minus the power of 1 - t that divides N.  Others take
+    the degree of k -> colength(a + m^k), sampled as written.
     """
     ring = a.ring
-    if a.is_zero:
-        return ring.dim
     if a.is_unit():
         raise PreconditionError("the unit ideal has an empty locus")
-    gb = a.groebner()
     if a.is_homogeneous():
-        return _quotient_dimension_from_leads(gb.lead_exps, ring.nvars)
+        return ring.nvars - _split_pole(a)[0]
+    gb = a.groebner()
     k = ring.dim + max(int(sum(e)) for e in gb.lead_exps) + 5
     cap = k + 12
     while True:
@@ -237,10 +224,9 @@ def analytic_spread(inner):
         cone, Ideal(cone.ring, [cone.ring.var(v) for v in ring.variables])
     )
     fiber = eliminate(mixed, list(ring.variables))
-    gb = fiber.groebner()
-    if gb.is_unit:
+    if fiber.groebner().is_unit:
         raise PreconditionError("blowup fiber collapsed; internal error")
-    return _quotient_dimension_from_leads(gb.lead_exps, fiber.ring.nvars)
+    return fiber.ring.nvars - _split_pole(fiber)[0]
 
 
 @dataclass(frozen=True)
@@ -341,74 +327,3 @@ def radical_contains_variables(a):
     """Does the radical reach the maximal ideal (empty punctured locus)?"""
     ring = a.ring
     return all(radical_membership(ring.var(v), a) for v in ring.variables)
-
-
-@dataclass(frozen=True)
-class PairReport:
-    ring: PolyRing
-    outer: Ideal
-    inner: Ideal
-    lambda_table: FunctionTable
-    fit: EventualPolynomial
-    reduction: ReductionVerdict
-    criterion_verdict: str
-    spread: int
-    grade: int
-    dim: int
-    theorem_flags: dict
-
-
-def pair_report(outer, inner, n_range=range(1, 9), n_max=10, window=3):
-    """Full dossier for a pair: table, fit, verdicts, cross-checks.
-
-    Theorem flags are set to "verified" only when their hypotheses were
-    machine-checked here; an exhausted search that the criterion cannot
-    corroborate is marked "inconclusive" rather than guessed.
-    """
-    crit = rees_criterion(outer, inner, n_range, window)
-    direct = reduction_test(outer, inner, n_max)
-    if direct.is_reduction:
-        verdict = direct
-        agree = "verified" if crit.verdict == "REDUCTION" else "failed"
-    elif crit.verdict == "NOT_REDUCTION":
-        verdict = ReductionVerdict(False, None, "rees-criterion", n_max, True)
-        agree = "verified"
-    else:
-        verdict = direct
-        agree = "inconclusive"
-    spread = analytic_spread(inner)
-    grade = grade_cm(inner)
-    dim = outer.ring.dim
-    flags = {"criterion_matches_direct": agree}
-    if verdict.is_reduction and not crit.fit.is_zero:
-        flags["degree_within_spread_bound"] = (
-            "verified" if crit.fit.degree <= spread - 1 else "failed"
-        )
-    else:
-        flags["degree_within_spread_bound"] = "not_applicable"
-    if (
-        grade == len(inner.gens)
-        and verdict.is_reduction
-        and not crit.fit.is_zero
-    ):
-        flags["ci_reduction_degree"] = (
-            "verified" if crit.fit.degree == spread - 1 else "failed"
-        )
-    else:
-        flags["ci_reduction_degree"] = "not_applicable"
-    flags["spread_bounds"] = (
-        "verified" if grade <= spread <= dim else "failed"
-    )
-    return PairReport(
-        outer.ring,
-        outer,
-        inner,
-        crit.table,
-        crit.fit,
-        verdict,
-        crit.verdict,
-        spread,
-        grade,
-        dim,
-        flags,
-    )

@@ -348,7 +348,7 @@ def _parse_task(cur, session_names, kinds):
             else:
                 val_tok = cur.expect("an integer", kind="int")
                 value = _parse_range_value(cur, val_tok)
-                wants_range = key in ("nrange", "krange", "mrange")
+                wants_range = key in ("nrange", "mrange")
                 if wants_range and isinstance(value, int):
                     value = range(value, value + 1)
                 if wants_range != isinstance(value, range):

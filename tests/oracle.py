@@ -5,7 +5,7 @@ share code paths with the library.  Counting routines refuse to answer
 unless they can certify their own bound.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 
 def minimalize(exps):
@@ -70,6 +70,18 @@ def saturate(a, nvars, cap=60):
     raise RuntimeError("saturation did not stabilize within the cap")
 
 
+def dimension(exps, nvars):
+    """Dimension of R/(monomials exps): the largest set of variables
+    that no generator lives on.  A multiple's support contains its
+    divisor's, so exps need not be minimal."""
+    supports = {frozenset(i for i, x in enumerate(e) if x) for e in exps}
+    for size in range(nvars, -1, -1):
+        for subset in combinations(range(nvars), size):
+            if not any(s <= set(subset) for s in supports):
+                return size
+    return 0
+
+
 def degree_tuples(nvars, degree):
     if nvars == 1:
         return [(degree,)]
@@ -96,13 +108,26 @@ def colength(a, nvars):
     return count
 
 
-def quotient_bound(a, b, nvars, cap=60):
-    """Least N with every degree-N multiple of a's gens inside b.
+def finite_quotient(a, b):
+    """Is the quotient of monomial ideals a/b finite?
 
-    Certifies that any monomial of a whose degree exceeds
-    max-gen-degree + N already lies in b; None when no such N exists
-    under the cap, meaning the quotient is not finite there.
+    Exactly when every generator g of a, times a high enough power of
+    each variable x_i, lies in b: some generator of b divides g off
+    coordinate i.
     """
+    return all(
+        any(
+            all(x <= y for j, (x, y) in enumerate(zip(h, g)) if j != i)
+            for h in b
+        )
+        for g in a
+        for i in range(len(g))
+    )
+
+
+def capped_bound(a, b, nvars, cap=60):
+    """Least N < cap with every degree-N multiple of a's gens inside b;
+    None when there is none."""
     for n in range(cap):
         shifts = degree_tuples(nvars, n)
         ok = True
@@ -116,6 +141,18 @@ def quotient_bound(a, b, nvars, cap=60):
         if ok:
             return n
     return None
+
+
+def quotient_bound(a, b, nvars, cap=60):
+    """Least N with every degree-N multiple of a's gens inside b.
+
+    Certifies that any monomial of a whose degree exceeds
+    max-gen-degree + N already lies in b; None when no such N exists
+    under the cap.  An infinite quotient is refused before the search.
+    """
+    if not finite_quotient(a, b):
+        return None
+    return capped_bound(a, b, nvars, cap)
 
 
 def subquotient(a, b, nvars):
@@ -147,6 +184,18 @@ def random_exps(rng, nvars, max_gens, max_deg, allow_trivial=False):
         gens = minimalize(gens)
         if gens:
             return gens
+
+
+def random_form(rng, ring, degree):
+    """A random form of the given degree with 1-3 small-coefficient
+    terms; it may cancel to zero."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        e = [0] * ring.nvars
+        for _ in range(degree):
+            e[rng.randrange(ring.nvars)] += 1
+        terms.append(ring.monomial(tuple(e), rng.choice((-2, -1, 1, 3))))
+    return sum(terms[1:], terms[0])
 
 
 def exps_to_ideal(ring, exps):

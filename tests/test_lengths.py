@@ -1,6 +1,7 @@
 """Length certification, staircase counting, and truncation samples."""
 
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -26,11 +27,11 @@ from reeslab import (
     ideal_sum,
     m_power,
     maximal_ideal,
-    staircase_histogram,
     subquotient_length,
     truncated_module_sum,
     zero_ideal,
 )
+from reeslab import lengths
 
 R = PolyRing(("x", "y"), RationalField())
 x, y = R.gens()
@@ -71,6 +72,16 @@ def test_colength_matches_oracle_random():
         done += 1
 
 
+def _staircase_histogram(exps, nvars, max_degree):
+    # per-degree counts of the monomials outside the ideal of the
+    # minimal exponents exps: the expansion of N(t)/(1-t)^nvars
+    num = lengths._numerator(exps)
+    hist = (num + [0] * (max_degree + 1))[: max_degree + 1]
+    for _ in range(nvars):
+        hist = list(accumulate(hist))  # times 1/(1-t)
+    return hist
+
+
 def test_staircase_histogram_matches_enumeration():
     from oracle import degree_tuples, member
 
@@ -78,7 +89,7 @@ def test_staircase_histogram_matches_enumeration():
     for _ in range(15):
         nvars = rng.choice([2, 3])
         exps = random_exps(rng, nvars, 3, 4)
-        hist = staircase_histogram(tuple(exps), nvars, 6)
+        hist = _staircase_histogram(tuple(exps), nvars, 6)
         for d in range(7):
             want = sum(
                 1 for e in degree_tuples(nvars, d) if not member(e, exps)
@@ -90,8 +101,6 @@ def test_numerator_depth_independent_of_generator_count(monkeypatch):
     # m^30 in three variables has 496 generators; each split halves the
     # exponents left to one variable, so the depth is logarithmic
     from oracle import degree_tuples
-
-    from reeslab import lengths
 
     inner = lengths._numerator
     depth = [0, 0]
@@ -105,7 +114,7 @@ def test_numerator_depth_independent_of_generator_count(monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(lengths, "_numerator", counted)
-    hist = staircase_histogram(degree_tuples(3, 30), 3, 32)
+    hist = _staircase_histogram(degree_tuples(3, 30), 3, 32)
     assert hist == [(d + 1) * (d + 2) // 2 for d in range(30)] + [0] * 3
     assert depth[1] <= 3 * (30).bit_length() + 1
 
@@ -193,10 +202,10 @@ def test_subquotient_length_in_high_degree():
 
 def test_subquotient_differential_random_pairs():
     # b = (part of a) + a·c for a random monomial ideal c: finite exactly
-    # when the oracle can bound the quotient, infinite otherwise.  The
-    # oracle needs seconds to refuse a four-variable pair, so there c
-    # gets a pure power of every variable and the pair stays finite;
-    # one fixed infinite four-variable pair stands in for the rest.
+    # when the oracle can bound the quotient, infinite otherwise.  In
+    # four variables c gets a pure power of every variable, so the pair
+    # stays finite; one fixed infinite four-variable pair stands in for
+    # the rest.
     R4 = PolyRing(("x", "y", "z", "w"), RationalField())
     rings = {2: R, 3: R3, 4: R4}
     ae, be = [(1, 0, 0, 0), (0, 1, 0, 0)], [(2, 0, 0, 0), (0, 1, 0, 0)]
@@ -230,6 +239,34 @@ def test_subquotient_differential_random_pairs():
             assert subquotient_length(a, b) == want
             finite += 1
     assert finite >= 100 and infinite >= 50
+
+
+def test_oracle_refusal_matches_capped_search():
+    # the oracle refuses an infinite quotient by its exact test before
+    # searching; on finite pairs it returns what the capped search
+    # finds.  The search costs about a second per infinite four-variable
+    # pair at cap 60; every finite bound here lies below 24, so four
+    # variables search to 24
+    from oracle import capped_bound, finite_quotient, quotient_bound
+
+    rng = random.Random(71)
+    seen = {True: 0, False: 0}
+    four_infinite = 0
+    for _ in range(60):
+        nvars = rng.choice((2, 3, 4))
+        ae = random_exps(rng, nvars, 4, 3)
+        ce = random_exps(rng, nvars, 4, 3)
+        keep = [e for e in ae if rng.random() < 0.5]
+        be = minimalize(
+            keep + [tuple(x + y for x, y in zip(g, c)) for g in ae for c in ce]
+        )
+        cap = 24 if nvars == 4 else 60
+        got = quotient_bound(ae, be, nvars)
+        assert got == capped_bound(ae, be, nvars, cap)
+        assert (got is not None) == finite_quotient(ae, be)
+        seen[got is None] += 1
+        four_infinite += nvars == 4 and got is None
+    assert seen[False] >= 20 and seen[True] >= 20 and four_infinite >= 5
 
 
 def ideal_product_with_mpower(a, c):

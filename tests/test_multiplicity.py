@@ -1,22 +1,33 @@
 """Multiplicity tables on the punctured-support proxy and the verdicts."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from oracle import exps_to_ideal, random_exps, random_form
+
 from reeslab import (
     ContainmentError,
     Ideal,
+    LengthCertificationError,
+    NotStabilizedError,
     PolyRing,
     PreconditionError,
+    PrimeField,
     RationalField,
+    fit_eventual_polynomial,
+    hilbert_samples,
     ideal_equal,
+    ideal_power,
     maximal_ideal,
     module_multiplicity,
     multiplicity_function,
+    normalized_leading_coefficient,
+    radical_colon_stability,
     rees_function,
-    stabilized_colon,
 )
+from reeslab import multiplicity
 
 R = PolyRing(("x", "y"), RationalField())
 x, y = R.gens()
@@ -25,9 +36,12 @@ DIAG = Ideal(R, (x**2, y**2))
 
 
 def test_stabilized_colon():
-    proxy, stable_from = stabilized_colon(SQUARE, DIAG)
-    assert stable_from == 1
-    assert ideal_equal(proxy, maximal_ideal(R))
+    # multiplicity_function reads the proxy and r off the colon chain
+    rep = multiplicity_function(SQUARE, DIAG)
+    stab = radical_colon_stability(SQUARE, DIAG)
+    assert rep.r == stab.stable_from == 1
+    assert ideal_equal(rep.proxy, stab.proxy)
+    assert ideal_equal(rep.proxy, maximal_ideal(R))
 
 
 def test_point_support_matches_length():
@@ -80,8 +94,103 @@ def test_range_validation():
         multiplicity_function(SQUARE, DIAG, n_range=range(0, 5))
     with pytest.raises(PreconditionError):
         multiplicity_function(SQUARE, DIAG, n_range=(1, 3, 5, 7, 9))
+    for empty in ([], range(3, 3)):
+        with pytest.raises(PreconditionError, match="empty"):
+            multiplicity_function(SQUARE, DIAG, n_range=empty)
 
 
 def test_containment_required():
     with pytest.raises(ContainmentError):
         multiplicity_function(Ideal(R, (x,)), Ideal(R, (y,)))
+
+
+def _outcome(compute):
+    # the value, or the class of the refusal
+    try:
+        return compute()
+    except (
+        LengthCertificationError,
+        NotStabilizedError,
+        PreconditionError,
+    ) as exc:
+        return type(exc)
+
+
+def _sampled_fit(big, small, nvars):
+    # the sampler over a window wider than module_multiplicity ever
+    # starts with, k = 1..nvars+8; the fit serves every t <= nvars
+    table = hilbert_samples(big, small, range(1, nvars + 9))
+    return fit_eventual_polynomial(table.values, table.start)
+
+
+def test_graded_multiplicity_matches_sampler():
+    # the numerator value against the sampled fit, on graded pairs with
+    # monomial and with non-monomial generators, over Q and GF(32003)
+    rng = random.Random(2027)
+    rings = [
+        PolyRing(("x", "y", "z")[:n], field)
+        for n in (2, 3)
+        for field in (RationalField(), PrimeField(32003))
+    ]
+    cases = nonzero = refused = 0
+    for _ in range(24):
+        ring = rng.choice(rings)
+        nvars = ring.nvars
+        if rng.random() < 0.5:
+            outer = exps_to_ideal(ring, random_exps(rng, nvars, 3, 2))
+        else:
+            forms = [
+                random_form(rng, ring, rng.randint(1, 2))
+                for _ in range(rng.randint(1, 3))
+            ]
+            forms = [f for f in forms if not f.is_zero]
+            outer = Ideal(ring, forms or ring.gens()[:1])
+        gens = [g for g in outer.gens if rng.random() < 0.4]
+        for g in outer.gens:
+            for _ in range(rng.randint(0, 2)):
+                gens.append(g * random_form(rng, ring, 1))
+        gens = [g for g in gens if not g.is_zero]
+        inner = Ideal(ring, gens or [outer.gens[0] * ring.gens()[0]])
+        for n in (1, 2):
+            big, small = ideal_power(outer, n), ideal_power(inner, n)
+            fit = _outcome(lambda: _sampled_fit(big, small, nvars))
+            assert not isinstance(fit, type)
+            for t in range(1, nvars + 1):
+                got = _outcome(lambda: module_multiplicity(outer, inner, n, t))
+                want = _outcome(lambda: normalized_leading_coefficient(fit, t))
+                assert got == want, (outer.gens, inner.gens, n, t)
+                cases += 1
+                if isinstance(got, type):
+                    assert got is PreconditionError
+                    refused += 1
+                elif got:
+                    nonzero += 1
+    assert cases >= 100 and nonzero >= 20 and refused >= 10
+
+
+def test_graded_pairs_never_sample(monkeypatch):
+    calls = []
+    sampler = multiplicity.hilbert_samples
+
+    def recording(*args):
+        calls.append(args)
+        return sampler(*args)
+
+    monkeypatch.setattr(multiplicity, "hilbert_samples", recording)
+    rep = multiplicity_function(Ideal(R, (x, y)), Ideal(R, (x,)))
+    assert rep.t == 1 and rep.e_table.values == (1, 2, 3, 4, 5)
+    assert module_multiplicity(SQUARE, Ideal(R, (x**3,)), 2, 1) == 6
+    assert calls == []
+    # the stand-in does see the non-graded path
+    assert module_multiplicity(Ideal(R, (x, y)), Ideal(R, (y - x**2,)), 1, 1)
+    assert len(calls) >= 1
+
+
+def test_non_graded_multiplicity_pins():
+    # m^n/(f^n) for a smooth curve f through the origin: the module is
+    # supported on the curve, where f^n has length n, so e = n at t = 1
+    m = Ideal(R, (x, y))
+    parabola = Ideal(R, (y - x**2,))
+    assert module_multiplicity(m, parabola, 1, 1) == 1
+    assert module_multiplicity(m, parabola, 2, 1) == 2
+    assert module_multiplicity(m, Ideal(R, (x - y**3,)), 1, 1) == 1

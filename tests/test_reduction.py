@@ -1,11 +1,11 @@
 """Reduction verdicts, spread, grade, d-sequences, colon stability."""
 
 import random
-from itertools import accumulate
+from math import comb
 
 import pytest
 
-from oracle import exps_to_ideal, random_exps
+from oracle import dimension, exps_to_ideal, random_exps, random_form
 
 from reeslab import (
     ContainmentError,
@@ -22,15 +22,14 @@ from reeslab import (
     integral_dependence,
     local_dimension,
     maximal_ideal,
-    pair_report,
     radical_colon_stability,
     radical_contains_variables,
     reduction_test,
     rees_criterion,
     rees_function,
-    staircase_histogram,
     zero_ideal,
 )
+from reeslab import lengths
 
 R = PolyRing(("x", "y"), RationalField())
 x, y = R.gens()
@@ -108,31 +107,20 @@ def test_local_dimension_inhomogeneous():
     assert local_dimension(Ideal(R, (y - x**2, x**3))) == 0
 
 
-def _numerator_order(lead_exps, nvars):
-    # N(t) = (1-t)^n times the Hilbert series; its degree is at most
-    # that of the lcm of the generators, so the truncation is exact
-    top = sum(max(e[i] for e in lead_exps) for i in range(nvars))
-    num = staircase_histogram(lead_exps, nvars, top)
-    for _ in range(nvars):
-        num = [c - p for c, p in zip(num, [0] + num)]
-    order = 0
-    while sum(num) == 0:
-        num = list(accumulate(num))[:-1]
-        order += 1
-    return order
-
-
-def _random_form(rng, ring, degree):
-    terms = []
-    for _ in range(rng.randint(1, 3)):
-        e = [0] * ring.nvars
-        for _ in range(degree):
-            e[rng.randrange(ring.nvars)] += 1
-        terms.append(ring.monomial(tuple(e), rng.choice((-2, -1, 1, 3))))
-    return sum(terms[1:], terms[0])
+def _numerator_order(lead_exps):
+    # the order of the Hilbert numerator N at t = 1: the first k whose
+    # k-th derivative there, k!·sum C(i, k)·N_i, is nonzero
+    num = lengths._numerator(lead_exps)
+    k = 0
+    while not sum(comb(i, k) * c for i, c in enumerate(num)):
+        k += 1
+    return k
 
 
 def test_local_dimension_matches_numerator_order():
+    # the dimension of a graded R/a is n minus the order of its Hilbert
+    # numerator at t = 1, and also the largest set of variables that no
+    # lead term lives on (the subspace reference in the oracle)
     rng = random.Random(113)
     rings = {
         n: PolyRing(("x", "y", "z", "w")[:n], RationalField())
@@ -140,19 +128,24 @@ def test_local_dimension_matches_numerator_order():
     }
     for _ in range(40):
         nvars = rng.choice((2, 3, 4))
-        a = exps_to_ideal(rings[nvars], random_exps(rng, nvars, 6, 4))
-        order = _numerator_order(a.groebner().lead_exps, nvars)
-        assert local_dimension(a) == nvars - order
+        exps = random_exps(rng, nvars, 6, 4)
+        a = exps_to_ideal(rings[nvars], exps)
+        order = _numerator_order(a.groebner().lead_exps)
+        assert local_dimension(a) == nvars - order == dimension(exps, nvars)
     for _ in range(20):
         ring = rings[rng.choice((2, 3))]
         forms = [
-            _random_form(rng, ring, rng.randint(1, 3))
+            random_form(rng, ring, rng.randint(1, 3))
             for _ in range(rng.randint(1, 4))
         ]
         gens = [f for f in forms if not f.is_zero] or [ring.gens()[0]]
         a = Ideal(ring, gens)
-        order = _numerator_order(a.groebner().lead_exps, ring.nvars)
-        assert local_dimension(a) == ring.nvars - order
+        leads = a.groebner().lead_exps
+        assert (
+            local_dimension(a)
+            == ring.nvars - _numerator_order(leads)
+            == dimension(leads, ring.nvars)
+        )
 
 
 def test_grade():
@@ -222,28 +215,3 @@ def test_radical_colon_stability():
 def test_radical_contains_variables():
     assert radical_contains_variables(DIAG) is True
     assert radical_contains_variables(Ideal(R, (x,))) is False
-
-
-def test_pair_report_square():
-    rep = pair_report(SQUARE, DIAG, n_range=range(1, 7), n_max=5)
-    assert rep.reduction.is_reduction is True
-    assert rep.criterion_verdict == "REDUCTION"
-    assert rep.spread == 2
-    assert rep.grade == 2
-    assert rep.dim == 2
-    assert rep.theorem_flags["criterion_matches_direct"] == "verified"
-    assert rep.theorem_flags["degree_within_spread_bound"] == "verified"
-    assert rep.theorem_flags["ci_reduction_degree"] == "verified"
-    assert rep.theorem_flags["spread_bounds"] == "verified"
-
-
-def test_pair_report_negative():
-    rep = pair_report(
-        Ideal(R, (x,)), Ideal(R, (x**2, x * y)), n_range=range(1, 8), n_max=4
-    )
-    assert rep.reduction.is_reduction is False
-    assert rep.reduction.certified is True
-    assert rep.reduction.method == "rees-criterion"
-    assert rep.criterion_verdict == "NOT_REDUCTION"
-    assert rep.theorem_flags["criterion_matches_direct"] == "verified"
-    assert rep.theorem_flags["degree_within_spread_bound"] == "not_applicable"
