@@ -65,6 +65,29 @@ basis, cut at the largest degree asked about, for homogeneous questions
 to a homogeneous ideal that is not monomial and has no full basis
 cached yet; everything else, and `Ideal.groebner`, sees full bases
 only.
+
+A colon a : b intersects the pieces a : (g) over the generators g of b
+outside a.  Each piece is (a ∩ (g))/g, and an intersection is read off
+a basis of t·a + (1-t)·b in an order that eliminates t.  Three exact
+shortcuts avoid that elimination and return the very generator lists
+it would give.
+
+- Nonzerodivisors.  For homogeneous a and b, a generator g of degree d
+  is a nonzerodivisor modulo a exactly when the Hilbert numerators
+  satisfy N_{a+(g)} = (1 - s^d)·N_a: the sequence
+  0 -> R/(a:g)(-d) -> R/a -> R/(a+g) -> 0 is exact, and a ⊆ a : g
+  (Bruns-Herzog, Cohen-Macaulay Rings, ch. 4).  The basis of a + (g)
+  grows from the cached reduced basis of a, with no pair queued among
+  its elements.  Then a : b = a.  Elimination would give the reduced
+  basis of a when two or more pieces meet, and the reduced basis of
+  g·a divided by g for one piece.  Reading a Hilbert series to spare
+  Groebner work follows Traverso, "Hilbert functions and the
+  Buchberger algorithm", J. Symbolic Comput. 22 (1996).
+- Monomial ideals meet in their minimal lcms.  So a monomial piece
+  a : (c·x^m) comes out as the minimal max(e - m, 0), with
+  coefficient 1/c, and monomial pieces meet with no elimination.
+- Each colon is memoized on its dividend's `_cache`, keyed by the
+  divisor's generators, like the powers.
 """
 
 from __future__ import annotations
@@ -74,6 +97,7 @@ import heapq
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from operator import add, ge, le, neg, sub
 
@@ -81,6 +105,7 @@ from .errors import ResourceBudgetError, RingMismatchError, ZeroPolynomialError
 from .ring import (
     DEFAULT_ORDER,
     BlockElimination,
+    Lex,
     PolyRing,
     Polynomial,
     PrimeField,
@@ -150,6 +175,51 @@ def minimal_exponents(exps, order=DEFAULT_ORDER):
     kept += same
     kept.sort(key=order.key)
     return kept
+
+
+_LEX = Lex()
+
+
+def _numerator(gens):
+    """Numerator N of the Hilbert series N(t)/(1-t)^n of R/(x^g : g in gens).
+
+    The exponent tuples in gens must be the minimal generators, such as
+    the leads of a reduced basis.  Coefficients from degree 0 up.  A
+    power p of the variable shared by the most generators splits the
+    ideal M by the exact sequence
+    0 -> R/(M:p)(-deg p) -> R/M -> R/(M+p) -> 0, so
+    N(M) = N(M+p) + t^deg(p)·N(M:p) (Bigatti, JPAA 119, 1997).  The
+    exponent of p is the median of that variable's distinct exponents
+    among generators with two or more variables, and both branches keep
+    at most half of those exponents; the depth is therefore bounded by
+    the number of variables times the log of the degree, whatever the
+    generator count.  Generators with pairwise disjoint supports end it.
+    """
+    # a pure power of x_i among the generators exceeds every mixed
+    # exponent of x_i, so plus below is minimal too:
+    # p divides none of the generators it keeps, and none of them
+    # divides p.
+    nvars = len(gens[0]) if gens else 0
+    shared = [sum(1 for g in gens if g[i]) for i in range(nvars)]
+    if max(shared, default=0) < 2:
+        num = [1]
+        for g in gens:
+            d = sum(g)
+            shifted = [0] * d + num
+            num = [c - s for c, s in zip_longest(num, shifted, fillvalue=0)]
+        return num
+    i = shared.index(max(shared))
+    # x_i has at most one pure power, so it sits in a mixed generator
+    mixed = sorted({g[i] for g in gens if g[i] and sum(g) > g[i]})
+    e = mixed[len(mixed) // 2]
+    pivot = tuple(e if j == i else 0 for j in range(nvars))
+    plus = [g for g in gens if g[i] < e] + [pivot]
+    colon_exps = [g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens]
+    # the numerator ignores generator order, and lex keys cost least
+    shifted = [0] * e + _numerator(minimal_exponents(colon_exps, _LEX))
+    return [
+        c + s for c, s in zip_longest(_numerator(plus), shifted, fillvalue=0)
+    ]
 
 
 def _monomial_exps(polys):
@@ -495,7 +565,9 @@ class _Truncated(list):
     __slots__ = ()
 
 
-def buchberger(gens, order=DEFAULT_ORDER, budget=None, _degree=None):
+def buchberger(
+    gens, order=DEFAULT_ORDER, budget=None, _degree=None, _reduced=0
+):
     """Reduced Groebner basis of the ideal spanned by the generators.
 
     Monomial generators return their minimal monomials at once.  Others
@@ -510,6 +582,11 @@ def buchberger(gens, order=DEFAULT_ORDER, budget=None, _degree=None):
     as a `_Truncated` list, are the elements of degree at most `_degree`
     of the reduced basis; a loop that runs out of pairs first returns
     the whole reduced basis as a plain list.
+
+    `_reduced` says that the first that many generators already form a
+    reduced basis in the order, such as a cached basis grown by new
+    generators: no pair among them is queued, and the chain criterion
+    counts those pairs as treated.
 
     The loop keeps each basis element as its integer form (lead
     exponents, L, tail), the data of its `DivisorTable` entry.  The
@@ -577,7 +654,7 @@ def buchberger(gens, order=DEFAULT_ORDER, budget=None, _degree=None):
     for form in _distinct_forms(_poly_forms(nonzero, order)):
         table._add_form(*form)
         append(form)
-    for t in range(len(basis)):
+    for t in range(_reduced, len(basis)):
         queue_pairs(t)
     cap = float("inf") if _degree is None else _degree
     while heap and heap[0][0] <= cap:
@@ -923,7 +1000,8 @@ def _lift(f, ext, offset, nold):
 
 
 def intersection(a, b):
-    """a ∩ b via the auxiliary-variable elimination construction."""
+    """a ∩ b: the minimal lcms of two monomial ideals, else the
+    auxiliary-variable elimination construction."""
     _same_ring(a, b)
     ring = a.ring
     if a.is_zero or b.is_zero:
@@ -932,6 +1010,11 @@ def intersection(a, b):
         return b
     if b.is_unit():
         return a
+    ea = _monomial_exps(a.gens)
+    eb = _monomial_exps(b.gens)
+    if ea is not None and eb is not None:
+        lcms = [_exps_lcm(e, f) for e in ea for f in eb]
+        return Ideal(ring, _monomials(ring, minimal_exponents(lcms)))
     tname = _fresh_name(ring, "t")
     ext = PolyRing((tname,) + ring.variables, ring.field)
     n = ring.nvars
@@ -947,32 +1030,95 @@ def intersection(a, b):
     return Ideal(ring, out)
 
 
+def _quotients(polys, g):
+    # the exact quotients h/g of the multiples h of g
+    out = []
+    for h in polys:
+        qs, rem = divide(h, [g], with_quotients=True)
+        if not rem.is_zero:
+            raise ArithmeticError(
+                "member of an intersection with (g) must divide by g"
+            )
+        out.append(qs[0])
+    return out
+
+
 def colon(a, b):
-    """a : b, intersecting (a ∩ (g))/g over the generators g of b."""
+    """a : b, intersecting the pieces a : (g) over the generators g of b.
+
+    Results are memoized on a, keyed by b's generators.  Three exact
+    shortcuts leave the generator lists as elimination gives them; see
+    the module docstring.
+    """
     _same_ring(a, b)
     if b.is_zero:
         raise ValueError("colon by the zero ideal")
+    key = ("colon", b.gens)
+    result = a._cache.get(key)
+    if result is None:
+        result = a._cache[key] = _colon(a, b)
+    return result
+
+
+def _colon(a, b):
     ring = a.ring
     if a.is_zero:
         return zero_ideal(ring)
-    result = None
-    for g in b.gens:
-        if a.contains(g):
-            continue  # a : (g) is the unit ideal
-        meet = intersection(a, Ideal(ring, (g,)))
-        qgens = []
-        for h in meet.gens:
-            qs, rem = divide(h, [g], with_quotients=True)
-            if not rem.is_zero:
-                raise ArithmeticError(
-                    "member of an intersection with (g) must divide by g"
-                )
-            qgens.append(qs[0])
-        piece = Ideal(ring, qgens)
-        result = piece if result is None else intersection(result, piece)
-    if result is None:
+    graded = a.is_homogeneous() and b.is_homogeneous()
+    if graded:
+        # the certificate reads the full basis: built first, it serves
+        # the containment tests too
+        gb = a.groebner()
+    outside = [g for g in b.gens if not a.contains(g)]
+    if not outside:
         return unit_ideal(ring)
+    if (
+        graded
+        and _monomial_exps(a.gens + tuple(outside)) is None
+        and _has_nonzerodivisor(gb, outside)
+    ):
+        # a : b = a.  Elimination intersects two or more pieces into the
+        # reduced basis of a; one piece is (a ∩ (g))/g, where a ∩ (g) is
+        # a itself for a constant g and g·a otherwise
+        if len(outside) > 1:
+            result = Ideal(ring, gb.polys)
+        else:
+            (g,) = outside
+            meet = a.gens if not total_degree(g) else _reduced_multiple(gb, g)
+            result = Ideal(ring, _quotients(meet, g))
+        result._gb[DEFAULT_ORDER] = gb
+        return result
+    result = None
+    for g in outside:
+        meet = intersection(a, Ideal(ring, (g,)))
+        piece = Ideal(ring, _quotients(meet.gens, g))
+        result = piece if result is None else intersection(result, piece)
     return result
+
+
+def _has_nonzerodivisor(gb, polys):
+    # is one of the homogeneous polys, all outside the homogeneous ideal
+    # a with reduced basis gb, a nonzerodivisor modulo a?  For g of
+    # degree d the sequence 0 -> R/(a:g)(-d) -> R/a -> R/(a+g) -> 0 is
+    # exact, so N_{a+(g)} = N_a - s^d·N_{a:g}; as a lies in a : g, g is
+    # a nonzerodivisor exactly when N_{a+(g)} = (1 - s^d)·N_a.  The
+    # basis of a + (g) grows from gb, which is reduced already.
+    num = _numerator(gb.lead_exps)
+    for g in polys:
+        grown = buchberger(gb.polys + (g,), gb.order, _reduced=len(gb))
+        got = _numerator(GroebnerBasis(gb.ring, gb.order, grown).lead_exps)
+        shifted = [0] * total_degree(g) + num
+        want = [c - s for c, s in zip_longest(num, shifted, fillvalue=0)]
+        if all(c == w for c, w in zip_longest(got, want, fillvalue=0)):
+            return True
+    return False
+
+
+def _reduced_multiple(gb, g):
+    # the reduced basis of g·a, from the reduced basis gb of a: the
+    # products g·h are a Groebner basis already, with minimal leads
+    forms = list(_product_forms(gb.ring, (g,), gb.polys, gb.order))
+    return _reduce_basis(gb.ring, forms, gb.order, {})
 
 
 def saturation(a, b, budget=None):

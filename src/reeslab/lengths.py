@@ -31,12 +31,12 @@ from .groebner import (
     _ACTIVE_BUDGET,
     Ideal,
     ideal_sum,
+    _numerator,
     interreduce,
     intersection,
-    minimal_exponents,
     unit_ideal,
 )
-from .ring import Lex, Polynomial, total_degree
+from .ring import Polynomial, total_degree
 
 
 @dataclass(frozen=True)
@@ -85,51 +85,6 @@ def m_power(ring, k):
         ring,
         [Polynomial(ring, {e: one}) for e in _degree_exponents(ring.nvars, k)],
     )
-
-
-_LEX = Lex()
-
-
-def _numerator(gens):
-    """Numerator N of the Hilbert series N(t)/(1-t)^n of R/(x^g : g in gens).
-
-    The exponent tuples in gens must be the minimal generators, such as
-    the leads of a reduced basis.  Coefficients from degree 0 up.  A
-    power p of the variable shared by the most generators splits the
-    ideal M by the exact sequence
-    0 -> R/(M:p)(-deg p) -> R/M -> R/(M+p) -> 0, so
-    N(M) = N(M+p) + t^deg(p)·N(M:p) (Bigatti, JPAA 119, 1997).  The
-    exponent of p is the median of that variable's distinct exponents
-    among generators with two or more variables, and both branches keep
-    at most half of those exponents; the depth is therefore bounded by
-    the number of variables times the log of the degree, whatever the
-    generator count.  Generators with pairwise disjoint supports end it.
-    """
-    # a pure power of x_i among the generators exceeds every mixed
-    # exponent of x_i, so plus below is minimal too:
-    # p divides none of the generators it keeps, and none of them
-    # divides p.
-    nvars = len(gens[0]) if gens else 0
-    shared = [sum(1 for g in gens if g[i]) for i in range(nvars)]
-    if max(shared, default=0) < 2:
-        num = [1]
-        for g in gens:
-            d = sum(g)
-            shifted = [0] * d + num
-            num = [c - s for c, s in zip_longest(num, shifted, fillvalue=0)]
-        return num
-    i = shared.index(max(shared))
-    # x_i has at most one pure power, so it sits in a mixed generator
-    mixed = sorted({g[i] for g in gens if g[i] and sum(g) > g[i]})
-    e = mixed[len(mixed) // 2]
-    pivot = tuple(e if j == i else 0 for j in range(nvars))
-    plus = [g for g in gens if g[i] < e] + [pivot]
-    colon = [g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens]
-    # the numerator ignores generator order, and lex keys cost least
-    shifted = [0] * e + _numerator(minimal_exponents(colon, _LEX))
-    return [
-        c + s for c, s in zip_longest(_numerator(plus), shifted, fillvalue=0)
-    ]
 
 
 def _split_pole(b, a=None):

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .groebner import (
     Ideal,
-    _fresh_name,
     _lift,
     colon,
     eliminate,
@@ -300,6 +299,10 @@ def radical_colon_stability(outer, inner, n_max=3):
     way through n_max, together with the colon at that index.  The
     colon of powers is taken as n successive colons by the outer ideal.
     """
+    if outer.is_zero:
+        raise PreconditionError(
+            "the colon chain divides by the outer ideal, which is zero"
+        )
     _require_containment(outer, inner)
     if n_max < 2:
         raise PreconditionError("need n_max >= 2 to compare the chain")

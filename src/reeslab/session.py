@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 from .groebner import Ideal
-from .ring import PolyRing, Polynomial, PrimeField, RationalField, poly_str
+from .ring import PolyRing, PrimeField, RationalField, poly_str
 
 TASK_KINDS = (
     "length",

@@ -2,7 +2,9 @@
 
 Everything here works on plain exponent tuples so the answers cannot
 share code paths with the library.  Counting routines refuse to answer
-unless they can certify their own bound.
+unless they can certify their own bound.  The one exception is
+`elimination_colon`, the textbook colon by elimination: it reads only
+the library's `buchberger` and `divide`, none of its ideal operations.
 """
 
 from itertools import combinations, product
@@ -212,3 +214,69 @@ def ideal_to_exps(ideal):
         assert len(terms) == 1, "not a monomial ideal"
         out.append(terms[0])
     return minimalize(out)
+
+
+def _eliminated_meet(fs, gs):
+    # f ∩ g from a basis of t·f + (1 - t)·g in an order that eliminates
+    # a new first variable t; a unit side returns the other side
+    from reeslab import BlockElimination, PolyRing, buchberger
+
+    if not fs or not gs:
+        return []
+    if _is_unit(fs):
+        return gs
+    if _is_unit(gs):
+        return fs
+    ring = fs[0].ring
+    ext = PolyRing(("t",) + ring.variables, ring.field)  # refuses a second t
+    t = ext.var("t")
+
+    def lift(f):
+        return ext.from_terms({(0,) + e: c for e, c in f.terms.items()})
+
+    gens = [t * lift(f) for f in fs] + [(ext.one - t) * lift(g) for g in gs]
+    out = []
+    for p in buchberger(gens, BlockElimination(1)):
+        if all(e[0] == 0 for e in p.terms):
+            out.append(ring.from_terms({e[1:]: c for e, c in p.terms.items()}))
+    return out
+
+
+def _is_unit(fs):
+    from reeslab import buchberger
+
+    basis = buchberger(fs)
+    return len(basis) == 1 and all(sum(e) == 0 for e in basis[0].terms)
+
+
+def _in_ideal(f, fs):
+    from reeslab import buchberger, divide
+
+    return divide(f, buchberger(fs))[1].is_zero
+
+
+def elimination_colon(a, b):
+    """The generators of a : b as elimination gives them.
+
+    Each generator g of b outside a gives the piece (a ∩ (g))/g, and the
+    pieces are intersected in b's order, both by `_eliminated_meet`.  A
+    zero a gives the zero ideal, and a divisor inside a the unit ideal.
+    """
+    from reeslab import divide
+
+    fs = list(a.gens)
+    if not fs:
+        return ()
+    result = None
+    for g in b.gens:
+        if _in_ideal(g, fs):
+            continue
+        piece = []
+        for h in _eliminated_meet(fs, [g]):
+            qs, rem = divide(h, [g], with_quotients=True)
+            assert rem.is_zero
+            piece.append(qs[0])
+        result = piece if result is None else _eliminated_meet(result, piece)
+    if result is None:
+        return (a.ring.one,)
+    return tuple(result)

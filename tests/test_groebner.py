@@ -10,6 +10,7 @@ import pytest
 
 from oracle import (
     colon as oracle_colon,
+    elimination_colon,
     exps_to_ideal,
     ideal_to_exps,
     intersect as oracle_intersect,
@@ -19,7 +20,6 @@ from oracle import (
 )
 
 from reeslab import (
-    BUDGET,
     leading_term,
     BlockElimination,
     DivisorTable,
@@ -828,3 +828,112 @@ def test_ideal_product_matches_interreduced_products():
         prods = [f * g for f in a.gens for g in b.gens]
         assert len(prods) > groebner_module._INTERREDUCE_NF_CAP
         assert list(ideal_product(a, b).gens) == interreduce(prods)
+
+
+def _colon_cases(rng, ring):
+    # seeded homogeneous (a, b, label) pairs: generic forms, zero
+    # divisors u with u·v in a, monomial and mixed pairs, divisors with
+    # two or more generators outside a, and constant generators
+    nvars = ring.nvars
+
+    def form(degree):
+        while True:
+            f = _homogeneous_generator(rng, ring, degree)
+            if not f.is_zero:
+                return f
+
+    def monomials(count, top):
+        return [
+            ring.monomial(e) for e in random_exps(rng, nvars, count, top)
+        ]
+
+    def dense_linear():
+        return sum(
+            (rng.choice((-2, -1, 1, 3)) * g for g in ring.gens()[1:]),
+            ring.gens()[0],
+        )
+
+    cases = []
+    for _ in range(4):
+        a = [form(2), form(rng.choice((2, 3)))]
+        cases.append((a, [form(rng.choice((1, 2)))], "generic"))
+        cases.append(([form(2), form(2)], [dense_linear()], "dense"))
+        u, v, w = form(1), form(1), form(1)
+        cases.append(([u * v, form(2)], [u], "zero divisor"))
+        cases.append(([u * v, w**2], [u, form(2), v], "several outside"))
+        cases.append((monomials(4, 3), monomials(3, 2), "monomial"))
+        cases.append((monomials(3, 3), [form(1), form(2)], "monomial a"))
+        cases.append(([form(2), form(2)], monomials(2, 2), "monomial b"))
+        c = ring.const(rng.choice((2, -3, 5)))
+        cases.append(([u * v, w**2, u * w], [c], "constant"))
+        cases.append(([u * v, w**2], [c, u], "constant and zero divisor"))
+    return cases
+
+
+def test_colon_matches_elimination(monkeypatch):
+    # every shortcut of colon against the textbook elimination colon,
+    # by exact generator lists; a graded colon with a nonzerodivisor
+    # outside a, or of two monomial ideals, runs no elimination
+    eliminations = []
+    run = groebner_module.buchberger
+
+    def recording(gens, order=GrevLex(), *args, **kwargs):
+        if isinstance(order, BlockElimination):
+            eliminations.append(order)
+        return run(gens, order, *args, **kwargs)
+
+    rng = random.Random(211)
+    names = ("x", "y", "z", "w")
+    seen = set()
+    for field in (RationalField(), PrimeField(32003)):
+        for nvars in (3, 4):
+            ring = PolyRing(names[:nvars], field)
+            for gens_a, gens_b, label in _colon_cases(rng, ring):
+                a = Ideal(ring, gens_a)
+                b = Ideal(ring, gens_b)
+                want = elimination_colon(a, b)
+                outside = [g for g in b.gens if not a.contains(g)]
+                # g is a nonzerodivisor modulo a when a : (g) lies in a
+                nonzerodivisor = any(
+                    all(
+                        a.contains(q)
+                        for q in elimination_colon(a, Ideal(ring, (g,)))
+                    )
+                    for g in outside
+                )
+                monomial = all(
+                    len(g.terms) == 1 for g in a.gens + b.gens
+                )
+                monkeypatch.setattr(groebner_module, "buchberger", recording)
+                del eliminations[:]
+                got = colon(Ideal(ring, gens_a), b)
+                monkeypatch.setattr(groebner_module, "buchberger", run)
+                assert got.gens == want, (label, gens_a, gens_b)
+                if nonzerodivisor or monomial:
+                    assert not eliminations, (label, gens_a, gens_b)
+                seen.add((label, nonzerodivisor, len(outside)))
+    labels = {label for label, _, _ in seen}
+    assert len(labels) == 9
+    assert any(nzd for _, nzd, _ in seen)
+    assert any(not nzd and count == 1 for _, nzd, count in seen)
+    assert any(nzd and count >= 2 for _, nzd, count in seen)
+    assert any(not nzd and count >= 2 for _, nzd, count in seen)
+    # a pair that is not homogeneous takes the elimination path
+    a = Ideal(R3, (x3**2 - y3, y3 * z3))
+    b = Ideal(R3, (x3 + z3**2,))
+    monkeypatch.setattr(groebner_module, "buchberger", recording)
+    del eliminations[:]
+    got = colon(a, b)
+    monkeypatch.setattr(groebner_module, "buchberger", run)
+    assert eliminations
+    assert got.gens == elimination_colon(a, b)
+
+
+def test_colon_memo_returns_the_same_ideal():
+    a = Ideal(R3, (x3 * y3, y3 * z3 + x3**2))
+    b = Ideal(R3, (y3, z3))
+    first = colon(a, b)
+    assert colon(a, b) is first
+    assert colon(a, Ideal(R3, (y3, z3))) is first
+    # the key is the divisor's generator list
+    assert colon(a, Ideal(R3, (z3, y3))) is not first

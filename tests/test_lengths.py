@@ -31,7 +31,7 @@ from reeslab import (
     truncated_module_sum,
     zero_ideal,
 )
-from reeslab import lengths
+from reeslab import groebner
 
 R = PolyRing(("x", "y"), RationalField())
 x, y = R.gens()
@@ -75,7 +75,7 @@ def test_colength_matches_oracle_random():
 def _staircase_histogram(exps, nvars, max_degree):
     # per-degree counts of the monomials outside the ideal of the
     # minimal exponents exps: the expansion of N(t)/(1-t)^nvars
-    num = lengths._numerator(exps)
+    num = groebner._numerator(exps)
     hist = (num + [0] * (max_degree + 1))[: max_degree + 1]
     for _ in range(nvars):
         hist = list(accumulate(hist))  # times 1/(1-t)
@@ -102,7 +102,7 @@ def test_numerator_depth_independent_of_generator_count(monkeypatch):
     # exponents left to one variable, so the depth is logarithmic
     from oracle import degree_tuples
 
-    inner = lengths._numerator
+    inner = groebner._numerator
     depth = [0, 0]
 
     def counted(gens):
@@ -113,7 +113,7 @@ def test_numerator_depth_independent_of_generator_count(monkeypatch):
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(lengths, "_numerator", counted)
+    monkeypatch.setattr(groebner, "_numerator", counted)
     hist = _staircase_histogram(degree_tuples(3, 30), 3, 32)
     assert hist == [(d + 1) * (d + 2) // 2 for d in range(30)] + [0] * 3
     assert depth[1] <= 3 * (30).bit_length() + 1

@@ -194,3 +194,33 @@ def test_non_graded_multiplicity_pins():
     assert module_multiplicity(m, parabola, 1, 1) == 1
     assert module_multiplicity(m, parabola, 2, 1) == 2
     assert module_multiplicity(m, Ideal(R, (x - y**3,)), 1, 1) == 1
+
+
+def test_mult_reuses_the_colon_chain_of_radcolon(monkeypatch):
+    # the stab session's mult task reads the chain J^n : I^n that its
+    # radcolon task built on the same bindings; the colons are memoized
+    # on their dividends, so mult repeats none of radcolon's
+    # intersections
+    from reeslab import groebner, parse_session, run_session, runner
+    from reeslab.corpus import CORPUS
+
+    calls = {}
+    current = []
+    meet = groebner.intersection
+    run_task = runner.run_task
+
+    def recording_meet(a, b):
+        calls.setdefault(current[-1], []).append((a.gens, b.gens))
+        return meet(a, b)
+
+    def marking_run_task(session, task):
+        current.append(task.kind)
+        return run_task(session, task)
+
+    monkeypatch.setattr(groebner, "intersection", recording_meet)
+    monkeypatch.setattr(runner, "run_task", marking_run_task)
+    report = run_session(parse_session(CORPUS["stab"]))
+    assert [t["kind"] for t in report["tasks"]] == ["radcolon", "mult"]
+    assert report["ok"]
+    assert calls["radcolon"]
+    assert not set(calls.get("mult", ())) & set(calls["radcolon"])

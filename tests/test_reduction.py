@@ -10,7 +10,6 @@ from oracle import dimension, exps_to_ideal, random_exps, random_form
 from reeslab import (
     ContainmentError,
     Ideal,
-    NEG_INF,
     PolyRing,
     PreconditionError,
     RationalField,
@@ -29,7 +28,7 @@ from reeslab import (
     rees_function,
     zero_ideal,
 )
-from reeslab import lengths
+from reeslab import groebner
 
 R = PolyRing(("x", "y"), RationalField())
 x, y = R.gens()
@@ -110,7 +109,7 @@ def test_local_dimension_inhomogeneous():
 def _numerator_order(lead_exps):
     # the order of the Hilbert numerator N at t = 1: the first k whose
     # k-th derivative there, k!·sum C(i, k)·N_i, is nonzero
-    num = lengths._numerator(lead_exps)
+    num = groebner._numerator(lead_exps)
     k = 0
     while not sum(comb(i, k) * c for i, c in enumerate(num)):
         k += 1

@@ -12,7 +12,6 @@ from reeslab import (
     GrevLex,
     Lex,
     PolyRing,
-    Polynomial,
     PrimeField,
     RationalField,
     RingMismatchError,

@@ -158,3 +158,25 @@ def test_zero_degree_marker():
     assert task["degree"] == "ZERO"
     assert task["fit"]["degree"] == "ZERO"
     jsonschema.validate(report, REPORT_SCHEMA)
+
+
+def test_zero_outer_ideal_is_a_typed_refusal():
+    # the colon chain divides by the outer ideal; a zero one is refused
+    # per task, and the records before and after it survive
+    text = (
+        "ring q[x,y]\n"
+        "ideal I = 0\n"
+        "ideal J = 0\n"
+        "ideal K = x, y\n"
+        "task length K\n"
+        "task radcolon I J nmax=2\n"
+        "task mult I J\n"
+        "task length K\n"
+    )
+    report = run_session(parse_session(text))
+    statuses = [t["status"] for t in report["tasks"]]
+    assert statuses == ["ok", "error", "error", "ok"]
+    for record in report["tasks"][1:3]:
+        assert record["error"]["type"] == "PreconditionError"
+        assert "outer ideal" in record["error"]["message"]
+    jsonschema.validate(report, REPORT_SCHEMA)
