@@ -49,7 +49,6 @@ from .groebner import (
     ideal_power,
     ideal_product,
     ideal_sum,
-    interreduce,
     intersection,
     membership,
     normal_form,
@@ -62,11 +61,9 @@ from .groebner import (
 from .lengths import (
     FunctionTable,
     colength,
-    hilbert_samples,
     maximal_ideal,
     m_power,
     subquotient_length,
-    truncated_module_sum,
 )
 from .multiplicity import (
     MultiplicityReport,

@@ -6,7 +6,7 @@ check failed, 2 the input could not be used at all.
 Each invocation runs its tasks serially under one immutable budget,
 dropped when the command returns.  REESLAB_BUDGET sets its caps: a bare
 integer (the basis size) or pairs such as
-`basis=8000,pairs=500000,truncation=60,saturation=80`, each a positive
+`basis=8000,pairs=500000,saturation=80`, each a positive
 integer.  Command line flags win over the environment.
 """
 
@@ -27,7 +27,6 @@ from .session import Task, parse_session
 _BUDGET_KEYS = {
     "basis": "max_basis",
     "pairs": "max_pairs",
-    "truncation": "truncation_cap",
     "saturation": "saturation_cap",
 }
 
@@ -46,7 +45,7 @@ def _apply_budget_env(text):
         if key not in _BUDGET_KEYS or not value.isdecimal() or int(value) < 1:
             raise ValueError(
                 f"bad REESLAB_BUDGET entry {part!r}; use "
-                "basis=N,pairs=N,truncation=N,saturation=N or a bare "
+                "basis=N,pairs=N,saturation=N or a bare "
                 "integer, each N a positive integer"
             )
         caps[_BUDGET_KEYS[key]] = int(value)

@@ -22,7 +22,8 @@ class NotStabilizedError(ReeslabError):
 
 
 class LengthCertificationError(ReeslabError):
-    """A length was requested but finiteness could not be certified in budget."""
+    """A requested length is not a finite certified value: the quotient
+    has infinite length, or its Hilbert series contradicts a containment."""
 
 
 class ContainmentError(ReeslabError):

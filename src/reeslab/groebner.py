@@ -12,8 +12,9 @@ degree, order key of the lead, index, lead exponents and an integer
 form of the divisor, sorted on (lead degree, order key, index).  A
 basis prepares its table once and reuses it for every division: the
 growing basis of `buchberger`, the minimal basis in `_reduce_basis`,
-the kept list of `interreduce` and a finished `GroebnerBasis` each hold
-one (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2 §3).
+the kept list of `_interreduce_forms` and a finished `GroebnerBasis`
+each hold one (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
+ch. 2 §3).
 
 Division runs on Python ints for both fields, in one loop.  Over Q a
 divisor is stored primitive, with integer coefficients, and the
@@ -29,14 +30,14 @@ stand for.
 The S-pair loop stays on those integer forms from its input to the
 reduced basis.  One private loop, `_reduce`, serves `divide`, the
 S-pair reductions, the tail reductions of `_reduce_basis` and
-`interreduce`.  Each S-polynomial is built on ints from the two table
-entries, a nonzero remainder enters the table as its primitive (over
-GF(p), monic) form, and monic polynomials with field coefficients are
-built only for the reduced basis.  Each table keeps a memo from a term's
-exponents to its heap item, so an order key is computed once per table,
-and each entry carries a mask of the variables in its lead: a lead
-with a variable the term lacks is passed over before the exponents are
-compared (Bachmann-Schönemann, "Monomial representations for Gröbner
+`_interreduce_forms`.  Each S-polynomial is built on ints from the two
+table entries, a nonzero remainder enters the table as its primitive
+(over GF(p), monic) form, and monic polynomials with field coefficients
+are built only for the reduced basis.  Each table keeps a memo from a
+term's exponents to its heap item, so an order key is computed once per
+table, and each entry carries a mask of the variables in its lead: a
+lead with a variable the term lacks is passed over before the exponents
+are compared (Bachmann-Schönemann, "Monomial representations for Gröbner
 bases computations", ISSAC 1998, call these short exponent vectors).
 
 Monomial ideals never reach the S-pair loop.  When every generator is a
@@ -49,7 +50,7 @@ basis is unique, so it is the one the S-pair loop would return.
 degree, and products and powers of monomial ideals add exponents and
 minimalize once, with no polynomial arithmetic.  Products of other
 ideals multiply the integer coefficients of their generators, and
-`interreduce`'s integer path takes one primitive form per product.
+`_interreduce_forms` takes one primitive form per product.
 
 Membership in a homogeneous ideal needs only the low-degree part of its
 basis.  When every generator is homogeneous, S-polynomials and their
@@ -121,7 +122,6 @@ class ResourceBudget:
 
     max_basis: int = 5000
     max_pairs: int = 200000
-    truncation_cap: int = 40
     saturation_cap: int = 50
 
 
@@ -949,25 +949,9 @@ def ideal_power(a, n):
 _INTERREDUCE_NF_CAP = 300
 
 
-def interreduce(polys, order=DEFAULT_ORDER):
-    """Trim a generator list without changing the ideal it spans.
-
-    Monomial lists are cut to their minimal generators exactly, with
-    coefficient one and ascending in the order; general lists are
-    greedily normal-formed against what is already kept.
-    """
-    polys = [g for g in polys if g is not None and not g.is_zero]
-    if not polys:
-        return []
-    exps = _monomial_exps(polys)
-    if exps is not None:
-        return _monomials(polys[0].ring, minimal_exponents(exps, order))
-    forms = _distinct_forms(_poly_forms(polys, order))
-    return _interreduce_forms(polys[0].ring, forms, order)
-
-
 def _interreduce_forms(ring, forms, order):
-    # interreduce's general branch, on distinct integer forms
+    # trim distinct integer forms without changing the ideal they span:
+    # each is normal-formed against those already kept
     if len(forms) > _INTERREDUCE_NF_CAP:
         return [_monic_poly(ring, *form) for form in forms]
     forms.sort(key=lambda form: order.key(form[0]))

@@ -1,19 +1,29 @@
-"""Lengths of finite quotients and subquotients from Hilbert series.
+"""Lengths, dimensions and multiplicities in R_m from Hilbert series.
 
-Everything rests on the numerator N_a(t) of the Hilbert series
-N_a(t)/(1-t)^n of R/in(a), computed from the lead exponents, and on
-one split of the largest power of 1 - t off a numerator or off a
-difference of two.  R/in(a) has the colength and the dimension of R/a;
-for graded ideals b inside a, the subquotient a/b has Hilbert series
-(N_b - N_a)/(1-t)^n.  When (1-t)^c splits off the numerator, the
-quotient has dimension n - c, finite length exactly when c = n, and
-then its length is the cofactor at t = 1.  colength and the graded
-subquotient lengths read this split; so do reduction.local_dimension
+Every invariant is read in the localization R_m at the ideal m of the
+variables, from the lead exponents of a standard basis of a·R_m in the
+local degree order: lower total degree first, ties broken by grevlex.
+R_m/a has the Hilbert-Samuel function of R/L(a), the quotient by the
+monomial ideal of those leads (Greuel-Pfister, A Singular Introduction
+to Commutative Algebra, ch. 5).  `_local_leads` finds them by Lazard's
+method: homogenize the generators with a new variable h, take a
+Groebner basis in a degree order that prefers powers of h, and drop h
+from the leads (Greuel-Pfister, §1.7; Mora, EUROCAM 1982).  A
+homogeneous ideal's grevlex basis is already that basis.
+
+Everything else rests on the numerator N_a(t) of the Hilbert series
+N_a(t)/(1-t)^n of R/L(a) and on one split of the largest power of
+1 - t off a numerator or off a difference of two.  When (1-t)^c splits
+off, the quotient has dimension n - c, finite length exactly when
+c = n, and then its length is the cofactor at t = 1.  For b inside a,
+L(b) lies inside L(a), and a·R_m/b·R_m, when of finite length, has the
+length of N_b - N_a read the same way: λ(a/b) = λ(R/(b + m^k)) -
+λ(R/(a + m^k)) for k large, by Artin-Rees.  colength and
+subquotient_length read this split; so do reduction.local_dimension
 and reduction.analytic_spread for dimensions, and
-multiplicity.module_multiplicity for graded multiplicities.  Other
-subquotients are truncated by a power of the maximal ideal whose
-sufficiency is checked explicitly, within the budget's truncation cap.
-All values are exact integers; anything not certifiably finite raises.
+multiplicity.module_multiplicity for multiplicities.  A lead exponent
+of all zeros means a contains a unit of R_m: its colength is 0.  All
+values are exact integers; anything not certifiably finite raises.
 """
 
 from __future__ import annotations
@@ -28,15 +38,14 @@ from .errors import (
     RingMismatchError,
 )
 from .groebner import (
-    _ACTIVE_BUDGET,
     Ideal,
-    ideal_sum,
+    _fresh_name,
     _numerator,
-    interreduce,
-    intersection,
+    buchberger,
+    minimal_exponents,
     unit_ideal,
 )
-from .ring import Polynomial, total_degree
+from .ring import DEFAULT_ORDER, PolyRing, Polynomial, leading_term
 
 
 @dataclass(frozen=True)
@@ -87,24 +96,74 @@ def m_power(ring, k):
     )
 
 
+class _LazardOrder:
+    """Total degree first, then the larger power of h, then grevlex on x.
+
+    h is the first variable.  Among terms of one total degree, a larger
+    power of h is a lower degree in x, so a homogenized generator leads
+    with its lowest-degree part, as the local degree order reads it.
+    """
+
+    def key(self, e):
+        return (sum(e), e[0]) + DEFAULT_ORDER.key(e[1:])
+
+
+_LAZARD = _LazardOrder()
+
+
+def _lazard_leads(a):
+    # the minimal dehomogenized leads of a Groebner basis of the
+    # homogenized generators under _LAZARD
+    ring = a.ring
+    ext = PolyRing((_fresh_name(ring, "h"),) + ring.variables, ring.field)
+    gens = []
+    for f in a.gens:
+        d = max(sum(e) for e in f.terms)
+        gens.append(
+            Polynomial(ext, {(d - sum(e),) + e: c for e, c in f.terms.items()})
+        )
+    leads = [leading_term(g, _LAZARD)[0][1:] for g in buchberger(gens, _LAZARD)]
+    return tuple(minimal_exponents(leads))
+
+
+def _local_leads(a):
+    """The minimal lead exponents of a·R_m in the local degree order.
+
+    Memoized on a.  A homogeneous generator homogenizes to itself, with
+    no h, and _LAZARD restricted to h^0 is grevlex; so for a homogeneous
+    ideal Lazard's basis is its grevlex basis, which is read directly.
+    """
+    if a.is_homogeneous():
+        return a.groebner().lead_exps
+    leads = a._cache.get("local_leads")
+    if leads is None:
+        leads = a._cache["local_leads"] = _lazard_leads(a)
+    return leads
+
+
+def _is_local_unit(a):
+    """Does a contain a unit of R_m: is one of its local leads 1?"""
+    return (0,) * a.ring.nvars in _local_leads(a)
+
+
 def _split_pole(b, a=None):
     """(c, q) with N_b - N_a = (1-t)^c·q and c <= n as large as possible.
 
-    N_b and N_a are the Hilbert numerators of R/b and R/a; without a,
-    N_b alone.  A quotient with Hilbert series (N_b - N_a)/(1-t)^n, such
-    as R/b, or a/b for graded b inside a, has dimension n - c, finite
-    length exactly when c = n, and then length q(1); otherwise q(1) is
-    its multiplicity (Bruns-Herzog, Cohen-Macaulay Rings, ch. 4).  The
-    zero series splits off every power.
+    N_b and N_a are the Hilbert numerators of R/L(b) and R/L(a) for the
+    local leads L; without a, N_b alone.  A quotient with Hilbert series
+    (N_b - N_a)/(1-t)^n, such as R_m/b, or a/b for b inside a, has
+    dimension n - c, finite length exactly when c = n, and then length
+    q(1); otherwise q(1) is its multiplicity (Bruns-Herzog,
+    Cohen-Macaulay Rings, ch. 4).  The zero series splits off every
+    power.
     """
-    # the leads of a reduced basis are its minimal generators already
     nvars = b.ring.nvars
-    series = _numerator(b.groebner().lead_exps)
+    series = _numerator(_local_leads(b))
     if a is not None:
         series = [
             nb - na
             for nb, na in zip_longest(
-                series, _numerator(a.groebner().lead_exps), fillvalue=0
+                series, _numerator(_local_leads(a)), fillvalue=0
             )
         ]
     if not any(series):
@@ -121,7 +180,7 @@ def _split_pole(b, a=None):
 
 
 def colength(a):
-    """The length of R/a when finite; the count of standard monomials."""
+    """The length of R_m/a when finite; 0 when a holds a local unit."""
     nvars = a.ring.nvars
     c, q = _split_pole(a)
     if c < nvars:
@@ -132,12 +191,17 @@ def colength(a):
 
 
 def subquotient_length(a, b, check_containment=True):
-    """The length of a/b for ideals b inside a, certified exactly."""
+    """The length of a/b in R_m for ideals b inside a, certified exactly.
+
+    The Hilbert series of a/b is (N_b - N_a)/(1-t)^n; the length is
+    finite exactly when that is a polynomial, and is then its value at
+    t = 1.
+    """
     if a.ring != b.ring:
         raise RingMismatchError(f"{a.ring!r} vs {b.ring!r}")
     if check_containment:
-        # the length reads the full basis of a: built first, it serves
-        # the containment check too
+        # a graded length reads the full basis of a: built first, it
+        # serves the containment check too
         a.groebner()
         if not a.contains_ideal(b):
             raise ContainmentError("the second ideal is not inside the first")
@@ -147,15 +211,6 @@ def subquotient_length(a, b, check_containment=True):
         raise LengthCertificationError(
             "a nonzero ideal has infinite length over the zero ideal"
         )
-    if a.is_homogeneous() and b.is_homogeneous():
-        return _graded_subquotient(a, b)
-    return _general_subquotient(a, b)
-
-
-def _graded_subquotient(a, b):
-    # the Hilbert series of a/b is (N_b - N_a)/(1-t)^n; the length is
-    # finite exactly when that is a polynomial, and is then its value
-    # at t = 1
     nvars = a.ring.nvars
     c, q = _split_pole(b, a)
     if c < nvars:
@@ -169,83 +224,3 @@ def _graded_subquotient(a, b):
             "coefficient; the second ideal is not inside the first"
         )
     return sum(q)
-
-
-def _general_subquotient(a, b):
-    ring = a.ring
-    cap = _ACTIVE_BUDGET.get().truncation_cap
-    # start past every generator degree; grow until the truncation
-    # certificate (a ∩ m^N inside b) holds, then difference colengths
-    degs = [int(total_degree(g)) for g in a.gens + b.gens]
-    n = min(cap, 1 + max(degs, default=1))
-    while n <= cap:
-        mn = m_power(ring, n)
-        meet = intersection(a, mn)
-        if all(b.contains(g) for g in meet.gens):
-            qa = colength(ideal_sum(a, mn))
-            qb = colength(ideal_sum(b, mn))
-            value = qb - qa
-            # the certified value must not move with the truncation
-            mn1 = m_power(ring, n + 1)
-            meet1 = intersection(a, mn1)
-            if not all(b.contains(g) for g in meet1.gens):
-                raise LengthCertificationError(
-                    "truncation certificate unstable at the next power"
-                )
-            if value != colength(ideal_sum(b, mn1)) - colength(
-                ideal_sum(a, mn1)
-            ):
-                raise LengthCertificationError(
-                    "truncated lengths disagree across powers"
-                )
-            if value < 0:
-                raise LengthCertificationError(
-                    "truncated lengths violate the containment"
-                )
-            return value
-        n += 2
-    raise LengthCertificationError(
-        "length not certified finite within the truncation cap; "
-        "raise REESLAB_BUDGET truncation=N"
-    )
-
-
-def _monomial_shift(g, e):
-    return Polynomial(
-        g.ring, {tuple(a + b for a, b in zip(te, e)): c for te, c in g.terms.items()}
-    )
-
-
-def truncated_module_sum(b, k, a):
-    """b + m^k·a with a short generator list.
-
-    The product generators are trimmed first, then only those not
-    already inside b survive; seeding with a reduced basis of b keeps
-    the later Groebner run cheap.
-    """
-    ring = b.ring
-    gbb = b.groebner()
-    prods = []
-    for g in a.gens:
-        for e in _degree_exponents(ring.nvars, k):
-            prods.append(_monomial_shift(g, e))
-    prods = interreduce(prods)
-    survivors = [p for p in prods if not gbb.contains(p)]
-    return Ideal(ring, list(gbb.polys) + survivors)
-
-
-def hilbert_samples(a, b, k_range):
-    """k -> length of a/(b + m^k·a); finite for every k by construction."""
-    ks = list(k_range)
-    if not ks:
-        raise ValueError("empty sample range")
-    if ks != list(range(ks[0], ks[0] + len(ks))) or ks[0] < 0:
-        raise ValueError("sample range must be consecutive nonnegative")
-    a.groebner()  # every length below reads it; the check reuses it
-    if not a.contains_ideal(b):
-        raise ContainmentError("the second ideal is not inside the first")
-    values = []
-    for k in ks:
-        bk = truncated_module_sum(b, k, a)
-        values.append(subquotient_length(a, bk, check_containment=False))
-    return FunctionTable(ks[0], tuple(values))

@@ -1,15 +1,13 @@
 """Multiplicities of power quotients against the stabilized colon locus.
 
 The annihilator of outer^n/inner^n stabilizes in radical; its locus
-dimension t fixes which normalized coefficient of the inner truncation
-function counts.  At t = 0 the quotient has finite length and the
-multiplicity is that length itself, which the length engine certifies
-directly; the statement that the inner function is eventually this
-constant is exactly the degree-zero case of the fit.  For t > 0 a
-graded pair reads the multiplicity off the Hilbert numerators of the
-two powers, with no sampling; only other pairs fit samples of the
-truncation function, where truncation by powers of m is the local
-certificate.
+dimension t at the origin fixes which normalized coefficient of the
+inner truncation function counts.  At t = 0 the quotient has finite
+length in R_m and the multiplicity is that length itself; the
+statement that the inner function is eventually this constant is
+exactly the degree-zero case of the fit.  For t > 0 the multiplicity
+is read off the Hilbert numerators of the local leads of the two
+powers, with no sampling, for every input.
 """
 
 from __future__ import annotations
@@ -17,21 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .asymptotics import (
-    EventualPolynomial,
-    fit_eventual_polynomial,
-    normalized_leading_coefficient,
-)
+from .asymptotics import EventualPolynomial, fit_eventual_polynomial
 from .errors import (
     LengthCertificationError,
     NotStabilizedError,
     PreconditionError,
 )
-from .groebner import Ideal, ideal_equal, ideal_power, radical_membership
+from .groebner import Ideal, ideal_power, radical_membership
 from .lengths import (
     FunctionTable,
+    _is_local_unit,
+    _local_leads,
     _split_pole,
-    hilbert_samples,
     subquotient_length,
 )
 from .reduction import (
@@ -53,13 +48,14 @@ def module_multiplicity(outer, inner, n, t):
     It is the normalized coefficient at degree t of the inner function
     k -> length of M/m^k·M, M = outer^n/inner^n.  For t = 0 that function
     is eventually the certified finite length of M, which is returned.
-    Graded pairs read it off the Hilbert numerators: with
-    N_{inner^n} - N_{outer^n} = (1-s)^c·Q in r variables, M has
-    dimension r - c.  m^k·M lies between the parts of M above two
-    shifts of k, so the inner function and the Hilbert sums of M share
-    their degree and leading coefficient: the value is Q(1) when
-    r - c = t and 0 below (Bruns-Herzog, Cohen-Macaulay Rings, ch. 4).
-    Other pairs fit samples of the inner function.
+    For t > 0 it is read off the Hilbert numerators of the local
+    leads: with N_{inner^n} - N_{outer^n} = (1-s)^c·Q in r variables,
+    M has dimension r - c.  Write big = outer^n, small = inner^n; the
+    numerators count k -> length of big/(small + big ∩ m^k), and by
+    Artin-Rees m^k·big ⊆ big ∩ m^k ⊆ m^(k-c0)·big for a fixed c0.  So
+    the inner function and the Hilbert sums of M share their degree and
+    leading coefficient: the value is Q(1) when r - c = t and 0 below
+    (Bruns-Herzog, Cohen-Macaulay Rings, ch. 4).
     """
     _require_containment(outer, inner)
     if t < 0:
@@ -70,25 +66,13 @@ def module_multiplicity(outer, inner, n, t):
         return Fraction(
             subquotient_length(big, small, check_containment=False)
         )
-    if big.is_homogeneous() and small.is_homogeneous():
-        c, q = _split_pole(small, big)
-        dim = outer.ring.nvars - c
-        if dim > t:
-            raise PreconditionError(
-                f"module dimension {dim} exceeds the dimension bound {t}"
-            )
-        return Fraction(sum(q) if dim == t else 0)
-    ks = list(range(1, t + 7))
-    while True:
-        table = hilbert_samples(big, small, range(ks[0], ks[-1] + 1))
-        try:
-            fit = fit_eventual_polynomial(table.values, table.start)
-            break
-        except NotStabilizedError:
-            if ks[-1] >= t + 15:
-                raise
-            ks = list(range(ks[0], ks[-1] + 4))
-    return normalized_leading_coefficient(fit, t)
+    c, q = _split_pole(small, big)
+    dim = outer.ring.nvars - c
+    if dim > t:
+        raise PreconditionError(
+            f"module dimension {dim} exceeds the dimension bound {t}"
+        )
+    return Fraction(sum(q) if dim == t else 0)
 
 
 @dataclass(frozen=True)
@@ -117,7 +101,7 @@ def multiplicity_function(outer, inner, n_range=None, stab_n_max=3, window=3):
     _require_containment(outer, inner)
     stab = radical_colon_stability(outer, inner, stab_n_max)
     proxy, r = stab.proxy, stab.stable_from
-    t = 0 if proxy.is_unit() else local_dimension(proxy)
+    t = 0 if _is_local_unit(proxy) else local_dimension(proxy)
     ns = _as_consecutive(range(r, r + 5) if n_range is None else n_range)
     if ns[0] < r:
         raise PreconditionError(
@@ -158,7 +142,9 @@ def _reduction_status(outer, inner):
 def _verdicts(outer, inner, t, efit, stable_from):
     verdicts = {}
     hypotheses = {}
-    if ideal_equal(outer, inner):
+    # inner lies inside outer, so equal local leads mean equal ideals of
+    # R_m: a standard basis of inner is then one of outer
+    if _local_leads(outer) == _local_leads(inner):
         for name in (
             "ci_degree",
             "deviation_one_degree",

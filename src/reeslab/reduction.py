@@ -1,13 +1,17 @@
 """Reduction tests, the asymptotic degree criterion, analytic spread,
 grade, d-sequences, depth and colon-radical stability for ideal pairs.
 
-The ambient ring is a polynomial ring read at the origin, so grade and
-height agree.  The dimension of a graded quotient R/a, and with it
-grade and analytic spread (on the fiber), is n minus the power of
-1 - t that divides the Hilbert numerator of the lead-term ideal of a.
-Verdicts distinguish a witnessed fact from an exhausted search: a
-direct reduction search that merely ran out of exponents is upgraded
-to a certified negative only when the degree criterion concurs.
+The ambient ring is a polynomial ring read in its localization R_m at
+the origin, so grade and height agree.  The dimension of R_m/a, and
+with it grade and whether a radical reaches m, is n minus the power of
+1 - t that divides the Hilbert numerator of the local leads of a
+(lengths._split_pole), for every input.  Analytic spread reads the
+same split on the fiber, which is the same for R and R_m.  The
+reduction search and the colon, d-sequence and depth tests still work
+with global ideals.  Verdicts distinguish a
+witnessed fact from an exhausted search: a direct reduction search
+that merely ran out of exponents is upgraded to a certified negative
+only when the degree criterion concurs.
 """
 
 from __future__ import annotations
@@ -37,9 +41,8 @@ from .groebner import (
 )
 from .lengths import (
     FunctionTable,
+    _is_local_unit,
     _split_pole,
-    colength,
-    m_power,
     maximal_ideal,
     subquotient_length,
 )
@@ -153,37 +156,18 @@ def integral_dependence(f, inner, n_max=10):
 def local_dimension(a):
     """Dimension of the vanishing locus at the origin.
 
-    Graded ideals read it off the Hilbert numerator N of R/a: the
-    dimension is n minus the power of 1 - t that divides N.  Others take
-    the degree of k -> colength(a + m^k), sampled as written.
+    It is n minus the power of 1 - t that divides the Hilbert numerator
+    of the local leads of a.
     """
-    ring = a.ring
-    if a.is_unit():
-        raise PreconditionError("the unit ideal has an empty locus")
-    if a.is_homogeneous():
-        return ring.nvars - _split_pole(a)[0]
-    gb = a.groebner()
-    k = ring.dim + max(int(sum(e)) for e in gb.lead_exps) + 5
-    cap = k + 12
-    while True:
-        values = [
-            colength(ideal_sum(a, m_power(ring, j)))
-            for j in range(1, k + 1)
-        ]
-        try:
-            fit = fit_eventual_polynomial(values, 1)
-            break
-        except NotStabilizedError:
-            k += 4
-            if k > cap:
-                raise
-    return 0 if fit.is_zero else fit.degree
+    if _is_local_unit(a):
+        raise PreconditionError("the unit ideal of R_m has an empty locus")
+    return a.ring.nvars - _split_pole(a)[0]
 
 
 def grade_cm(a):
     """Longest regular sequence inside the ideal: codimension here."""
-    if a.is_zero or a.is_unit():
-        raise PreconditionError("grade needs a proper nonzero ideal")
+    if a.is_zero or _is_local_unit(a):
+        raise PreconditionError("grade needs a proper nonzero ideal of R_m")
     return a.ring.dim - local_dimension(a)
 
 
@@ -327,6 +311,6 @@ def radical_colon_stability(outer, inner, n_max=3):
 
 
 def radical_contains_variables(a):
-    """Does the radical reach the maximal ideal (empty punctured locus)?"""
-    ring = a.ring
-    return all(radical_membership(ring.var(v), a) for v in ring.variables)
+    """Does the radical of a·R_m reach the maximal ideal (empty punctured
+    locus)?  Exactly when a holds a local unit or R_m/a has dimension 0."""
+    return _is_local_unit(a) or local_dimension(a) == 0

@@ -2,9 +2,13 @@
 
 Everything here works on plain exponent tuples so the answers cannot
 share code paths with the library.  Counting routines refuse to answer
-unless they can certify their own bound.  The one exception is
-`elimination_colon`, the textbook colon by elimination: it reads only
-the library's `buchberger` and `divide`, none of its ideal operations.
+unless they can certify their own bound.  The exceptions read only the
+library's `buchberger`, `divide` with its `DivisorTable`, `monic` and
+`leading_term`, none of its ideal operations or lengths:
+`elimination_colon`, the textbook colon by elimination; `interreduce`,
+the reference for `ideal_product`; `hilbert_samples`, the sampler
+k -> λ(a/(b + m^k·a)) for graded ideals; and `nakayama_colength`, the
+colength of a·R_m by truncation.
 """
 
 from itertools import combinations, product
@@ -280,3 +284,109 @@ def elimination_colon(a, b):
     if result is None:
         return (a.ring.one,)
     return tuple(result)
+
+
+def interreduce(polys, order=None):
+    """Trim a generator list without changing the ideal it spans.
+
+    Monomial lists are cut to their minimal generators, with
+    coefficient one, ascending in the order.  Other lists keep the
+    first of several scalar multiples, and then, up to the library's
+    cap on such lists, are sorted by lead and normal-formed, monic,
+    against what is already kept.
+    """
+    from reeslab import (
+        DEFAULT_ORDER,
+        DivisorTable,
+        divide,
+        groebner,
+        leading_term,
+    )
+
+    monic = groebner.monic
+    order = order or DEFAULT_ORDER
+    polys = [g for g in polys if not g.is_zero]
+    if not polys:
+        return []
+    ring = polys[0].ring
+    if all(len(g.terms) == 1 for g in polys):
+        exps = minimalize(next(iter(g.terms)) for g in polys)
+        return [ring.monomial(e) for e in sorted(exps, key=order.key)]
+    distinct = []
+    seen = set()
+    for g in polys:
+        g = monic(g, order)
+        if g not in seen:
+            seen.add(g)
+            distinct.append(g)
+    if len(distinct) > groebner._INTERREDUCE_NF_CAP:
+        return distinct
+    distinct.sort(key=lambda g: order.key(leading_term(g, order)[0]))
+    kept = []
+    table = DivisorTable((), order)
+    for g in distinct:
+        r = divide(g, table, order)[1]
+        if not r.is_zero:
+            kept.append(monic(r, order))
+            table.add(kept[-1])
+    return kept
+
+
+def _lead_exps(polys):
+    # the grevlex lead exponents of a Groebner basis of the polys
+    from reeslab import buchberger, leading_term
+
+    return [leading_term(g)[0] for g in buchberger(polys)]
+
+
+def hilbert_samples(a, b, k_range):
+    """k -> λ(a/(b + m^k·a)) for homogeneous ideals b inside a.
+
+    A graded quotient has the Hilbert function of its lead ideals, so
+    the length counts the monomials in in(a) outside in(b + m^k·a).
+    """
+    from reeslab import DivisorTable, buchberger, divide
+
+    assert a.is_homogeneous() and b.is_homogeneous()
+    ring = a.ring
+    nvars = ring.nvars
+    lead_a = _lead_exps(a.gens)
+    basis_b = buchberger(b.gens)
+    table_b = DivisorTable(basis_b)
+    values = []
+    for k in k_range:
+        # only the products outside b enter the basis run
+        shifted = []
+        for g in a.gens:
+            for e in degree_tuples(nvars, k):
+                f = ring.monomial(e) * g
+                if not divide(f, table_b)[1].is_zero:
+                    shifted.append(f)
+        lead_c = _lead_exps(basis_b + shifted)
+        values.append(subquotient(lead_a, lead_c, nvars))
+    return tuple(values)
+
+
+def _truncated_colength(a, n):
+    # the colength of a + m^n: it contains m^n, so its global and local
+    # colengths agree
+    ring = a.ring
+    power = [ring.monomial(e) for e in degree_tuples(ring.nvars, n)]
+    return colength(_lead_exps(list(a.gens) + power), ring.nvars)
+
+
+def nakayama_colength(a, cap=16):
+    """λ(R_m/a·R_m): colength(a + m^N) at the first N < cap with
+    a + m^N = a + m^(N+1); None when there is none.
+
+    There m^N lies in a + m·m^N, so m^N·R_m lies in a·R_m by Nakayama,
+    and a + m^N has the colength of a·R_m.  The two ideals are nested,
+    so they are equal exactly when their colengths are.
+    """
+    prev = _truncated_colength(a, 1)
+    for n in range(1, cap):
+        nxt = _truncated_colength(a, n + 1)
+        if nxt == prev:
+            return prev
+        prev = nxt
+    return None

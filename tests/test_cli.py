@@ -34,12 +34,12 @@ task length A B
 """
 
 
-# B is not homogeneous, so its length goes through the truncation path,
-# the one reader of the truncation cap; the length is 2 at the defaults
-TRUNCATION_SESSION = """\
+# B's basis queues several S-pairs, so a pairs cap of 2 trips it; the
+# length is 6 at the defaults
+PAIRS_SESSION = """\
 ring q[x,y]
 ideal A = x, y
-ideal B = x + y^2, y^3
+ideal B = x^2 + y^3, x*y^2 + y^4, y^5 - x^3
 task length A B
 """
 
@@ -49,10 +49,9 @@ def test_budget_env_bare_integer():
 
 
 def test_budget_env_pairs():
-    budget = _apply_budget_env("basis=11,pairs=22,truncation=33,saturation=44")
+    budget = _apply_budget_env("basis=11,pairs=22,saturation=44")
     assert budget.max_basis == 11
     assert budget.max_pairs == 22
-    assert budget.truncation_cap == 33
     assert budget.saturation_cap == 44
 
 
@@ -65,16 +64,16 @@ def test_budget_env_rejects_garbage():
 
 def test_budget_is_scoped_to_one_invocation(tmp_path, capsys, monkeypatch):
     src = tmp_path / "s.txt"
-    src.write_text(TRUNCATION_SESSION)
-    monkeypatch.setenv("REESLAB_BUDGET", "truncation=2")
+    src.write_text(PAIRS_SESSION)
+    monkeypatch.setenv("REESLAB_BUDGET", "pairs=2")
     assert main(["run", str(src)]) == 1
     out = capsys.readouterr().out
-    assert "LengthCertificationError" in out
-    assert "REESLAB_BUDGET truncation=" in out
+    assert "ResourceBudgetError" in out
+    assert "REESLAB_BUDGET pairs=" in out
     # the tripped cap does not outlive the invocation
-    report = run_session(parse_session(TRUNCATION_SESSION))
+    report = run_session(parse_session(PAIRS_SESSION))
     assert report["ok"] is True
-    assert report["tasks"][0]["length"] == 2
+    assert report["tasks"][0]["length"] == 6
     assert BUDGET == ResourceBudget()
     with pytest.raises(FrozenInstanceError):
         BUDGET.max_basis = BUDGET.max_basis
@@ -195,6 +194,15 @@ def test_run_env_budget_rejects_nonpositive(
     err = capsys.readouterr().err
     assert "REESLAB_BUDGET" in err
     assert "positive integer" in err
+
+
+def test_run_env_budget_rejects_truncation(tmp_path, capsys, monkeypatch):
+    # lengths read no truncation window, so the key names no cap
+    monkeypatch.setenv("REESLAB_BUDGET", "basis=9,truncation=60")
+    src = tmp_path / "s.txt"
+    src.write_text(GOOD_SESSION)
+    assert main(["run", str(src)]) == 2
+    assert "'truncation=60'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["\u00b2", "basis=\u00b2", "pairs=1\u00b2"])

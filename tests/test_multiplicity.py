@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracle import exps_to_ideal, random_exps, random_form
+from oracle import exps_to_ideal, hilbert_samples, random_exps, random_form
 
 from reeslab import (
     ContainmentError,
@@ -17,7 +17,6 @@ from reeslab import (
     PrimeField,
     RationalField,
     fit_eventual_polynomial,
-    hilbert_samples,
     ideal_equal,
     ideal_power,
     maximal_ideal,
@@ -117,10 +116,11 @@ def _outcome(compute):
 
 
 def _sampled_fit(big, small, nvars):
-    # the sampler over a window wider than module_multiplicity ever
-    # starts with, k = 1..nvars+8; the fit serves every t <= nvars
-    table = hilbert_samples(big, small, range(1, nvars + 9))
-    return fit_eventual_polynomial(table.values, table.start)
+    # the reference sampler over k = 1..nvars+8; the fit serves every
+    # t <= nvars
+    return fit_eventual_polynomial(
+        hilbert_samples(big, small, range(1, nvars + 9)), 1
+    )
 
 
 def test_graded_multiplicity_matches_sampler():
@@ -168,21 +168,25 @@ def test_graded_multiplicity_matches_sampler():
     assert cases >= 100 and nonzero >= 20 and refused >= 10
 
 
-def test_graded_pairs_never_sample(monkeypatch):
+def test_module_multiplicity_never_fits(monkeypatch):
+    # every pair, graded or not, reads the numerators of its two powers:
+    # no table of samples is fitted
     calls = []
-    sampler = multiplicity.hilbert_samples
+    fit = multiplicity.fit_eventual_polynomial
 
     def recording(*args):
         calls.append(args)
-        return sampler(*args)
+        return fit(*args)
 
-    monkeypatch.setattr(multiplicity, "hilbert_samples", recording)
-    rep = multiplicity_function(Ideal(R, (x, y)), Ideal(R, (x,)))
-    assert rep.t == 1 and rep.e_table.values == (1, 2, 3, 4, 5)
+    monkeypatch.setattr(multiplicity, "fit_eventual_polynomial", recording)
     assert module_multiplicity(SQUARE, Ideal(R, (x**3,)), 2, 1) == 6
+    m = Ideal(R, (x, y))
+    assert module_multiplicity(m, Ideal(R, (y - x**2,)), 3, 1) == 3
+    assert module_multiplicity(m, Ideal(R, (x * (1 + y), y**2)), 1, 0) == 1
     assert calls == []
-    # the stand-in does see the non-graded path
-    assert module_multiplicity(Ideal(R, (x, y)), Ideal(R, (y - x**2,)), 1, 1)
+    # the stand-in does see the fit of the table of multiplicities
+    rep = multiplicity_function(m, Ideal(R, (x,)))
+    assert rep.t == 1 and rep.e_table.values == (1, 2, 3, 4, 5)
     assert len(calls) >= 1
 
 
