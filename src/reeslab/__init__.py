@@ -7,12 +7,7 @@ local statements refer to the localization at the ideal generated by
 the variables.
 """
 
-from .asymptotics import (
-    EventualPolynomial,
-    fit_eventual_polynomial,
-    fit_table,
-    normalized_leading_coefficient,
-)
+from .asymptotics import EventualPolynomial, fit_eventual_polynomial
 from .errors import (
     ContainmentError,
     LengthCertificationError,
@@ -50,10 +45,7 @@ from .groebner import (
     ideal_product,
     ideal_sum,
     intersection,
-    membership,
-    normal_form,
     radical_membership,
-    s_polynomial,
     saturation,
     unit_ideal,
     zero_ideal,
@@ -62,7 +54,6 @@ from .lengths import (
     FunctionTable,
     colength,
     maximal_ideal,
-    m_power,
     subquotient_length,
 )
 from .multiplicity import (
@@ -79,7 +70,6 @@ from .reduction import (
     d_sequence_check,
     depth_positive,
     grade_cm,
-    integral_dependence,
     local_dimension,
     radical_colon_stability,
     radical_contains_variables,
@@ -97,7 +87,6 @@ from .ring import (
     Polynomial,
     PrimeField,
     RationalField,
-    WeightedGrevLex,
     leading_term,
     poly_str,
     total_degree,

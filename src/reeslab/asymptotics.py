@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotStabilizedError, PreconditionError
+from .errors import NotStabilizedError
 from .ring import NEG_INF
 
 
@@ -147,20 +147,3 @@ def fit_eventual_polynomial(values, start=1, window=3):
         return fit
     return EventualPolynomial(coeffs, t, start + a, window)
 
-
-def normalized_leading_coefficient(fit, t):
-    """t!·(coefficient of n^t): e0 at full degree, 0 below it."""
-    if fit.is_zero:
-        return Fraction(0)
-    if fit.degree > t:
-        raise PreconditionError(
-            f"fit degree {fit.degree} exceeds the dimension bound {t}"
-        )
-    if fit.degree < t:
-        return Fraction(0)
-    return fit.binomial_coeffs[0]
-
-
-def fit_table(table, window=3):
-    """Fit a FunctionTable-shaped object (start plus values)."""
-    return fit_eventual_polynomial(table.values, table.start, window)

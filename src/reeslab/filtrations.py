@@ -19,8 +19,13 @@ from functools import reduce
 
 from .asymptotics import EventualPolynomial, fit_eventual_polynomial
 from .errors import ContainmentError, PreconditionError, RingMismatchError
-from .groebner import Ideal, ideal_power, ideal_product, membership
-from .lengths import FunctionTable, subquotient_length
+from .groebner import Ideal, ideal_power, ideal_product
+from .lengths import (
+    FunctionTable,
+    _inside_locally,
+    _local_leads,
+    subquotient_length,
+)
 from .reduction import ReductionVerdict, _require_containment, grade_cm, reduction_test
 
 
@@ -172,20 +177,19 @@ class ExplicitFiltration:
             if a.ring != ring:
                 raise RingMismatchError("levels must share one ring")
         for m in range(len(levels) - 1):
-            if not levels[m].contains_ideal(levels[m + 1]):
+            if not _inside_locally(levels[m], levels[m + 1]):
                 raise ContainmentError(
                     f"level {m + 2} is not inside level {m + 1}"
                 )
         for i in range(1, len(levels) + 1):
             for j in range(i, len(levels) - i + 1):
-                target = levels[i + j - 1]
-                for g in levels[i - 1].gens:
-                    for h in levels[j - 1].gens:
-                        if not membership(g * h, target):
-                            raise ContainmentError(
-                                f"levels {i} and {j} do not multiply "
-                                f"into level {i + j}"
-                            )
+                left, right = levels[i - 1].gens, levels[j - 1].gens
+                products = Ideal(ring, [g * h for g in left for h in right])
+                if not _inside_locally(levels[i + j - 1], products):
+                    raise ContainmentError(
+                        f"levels {i} and {j} do not multiply "
+                        f"into level {i + j}"
+                    )
         self.ring = ring
         self.levels = levels
 
@@ -207,8 +211,8 @@ def explicit_filtration_table(fi, fj):
     for m in range(1, top + 1):
         a = fi.level(m)
         b = fj.level(m)
-        a.groebner()  # the length reads it; the check reuses it
-        if not a.contains_ideal(b):
+        _local_leads(a)  # the length reads them; the check reuses them
+        if not _inside_locally(a, b):
             raise ContainmentError(
                 f"level {m} of the second filtration is not inside "
                 f"the first"

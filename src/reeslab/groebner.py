@@ -100,7 +100,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from operator import add, ge, le, neg, sub
+from operator import add, ge, itemgetter, le, neg, sub
 
 from .errors import ResourceBudgetError, RingMismatchError, ZeroPolynomialError
 from .ring import (
@@ -233,17 +233,6 @@ def _monomial_exps(polys):
 def _monomials(ring, exps):
     one = ring.field.one
     return [Polynomial(ring, {e: one}) for e in exps]
-
-
-def monic(f, order=DEFAULT_ORDER):
-    """Scale f so its leading coefficient is 1."""
-    _, lc = leading_term(f, order)
-    field = f.ring.field
-    if lc == field.one:
-        return f
-    inv = field.invert(lc)
-    mul = field.mul
-    return Polynomial(f.ring, {e: mul(c, inv) for e, c in f.terms.items()})
 
 
 def _primitive(nums, lead_exps, field, inv=None):
@@ -528,35 +517,6 @@ def divide(f, divisors, order=DEFAULT_ORDER, with_quotients=False):
     if not with_quotients:
         return None, rem
     return [Polynomial(ring, q) for q in quotients], rem
-
-
-def normal_form(f, divisors, order=DEFAULT_ORDER):
-    """Remainder of f on division by the given polynomials."""
-    if isinstance(divisors, GroebnerBasis):
-        return divisors.normal_form(f)
-    return divide(f, divisors, order)[1]
-
-
-def s_polynomial(f, g, order=DEFAULT_ORDER):
-    """Cancel the leading terms of f and g against their lcm."""
-    ef, cf = leading_term(f, order)
-    eg, cg = leading_term(g, order)
-    lcm_exps = _exps_lcm(ef, eg)
-    return _monic_multiple(f, ef, cf, lcm_exps) - _monic_multiple(
-        g, eg, cg, lcm_exps
-    )
-
-
-def _monic_multiple(f, lead, lc, target):
-    # x^(target - lead) * f / lc, whose leading term is x^target; the
-    # inversion and the scaling are skipped when lc is one
-    shift = tuple(t - e for t, e in zip(target, lead))
-    field = f.ring.field
-    terms = {tuple(a + b for a, b in zip(e, shift)): c for e, c in f.terms.items()}
-    if lc != field.one:
-        inv = field.invert(lc)
-        terms = {e: field.mul(c, inv) for e, c in terms.items()}
-    return Polynomial(f.ring, terms)
 
 
 class _Truncated(list):
@@ -901,11 +861,6 @@ def _same_ring(a, b):
         raise RingMismatchError(f"{a.ring!r} vs {b.ring!r}")
 
 
-def membership(f, a):
-    """Is f in the ideal (normal form against its basis vanishes)?"""
-    return a.contains(f)
-
-
 def ideal_equal(a, b):
     """Value equality via mutual generator membership."""
     _same_ring(a, b)
@@ -967,10 +922,11 @@ def _interreduce_forms(ring, forms, order):
     return kept
 
 
-def _fresh_name(ring, base):
+def _fresh_name(taken, base):
+    # base, or base0, base1, ...: the first not among the names taken
     name = base
     k = 0
-    while name in ring.variables:
+    while name in taken:
         name = f"{base}{k}"
         k += 1
     return name
@@ -999,19 +955,14 @@ def intersection(a, b):
     if ea is not None and eb is not None:
         lcms = [_exps_lcm(e, f) for e in ea for f in eb]
         return Ideal(ring, _monomials(ring, minimal_exponents(lcms)))
-    tname = _fresh_name(ring, "t")
+    tname = _fresh_name(ring.variables, "t")
     ext = PolyRing((tname,) + ring.variables, ring.field)
     n = ring.nvars
     t = ext.var(tname)
     one_minus_t = ext.one - t
     gens = [t * _lift(f, ext, 1, n) for f in a.gens]
     gens += [one_minus_t * _lift(g, ext, 1, n) for g in b.gens]
-    gb = buchberger(gens, BlockElimination(1))
-    out = []
-    for p in gb:
-        if all(e[0] == 0 for e in p.terms):
-            out.append(Polynomial(ring, {e[1:]: c for e, c in p.terms.items()}))
-    return Ideal(ring, out)
+    return eliminate(Ideal(ext, gens), [tname])
 
 
 def _quotients(polys, g):
@@ -1111,7 +1062,8 @@ def saturation(a, b, budget=None):
     current = a
     for steps in range(budget.saturation_cap + 1):
         nxt = colon(current, b)
-        if ideal_equal(nxt, current):
+        # current lies in current : b, so only the other inclusion can fail
+        if current.contains_ideal(nxt):
             return current, steps
         current = nxt
     raise ResourceBudgetError(
@@ -1136,19 +1088,18 @@ def eliminate(a, drop):
         raise ValueError("cannot eliminate every variable")
     first = [v for v in ring.variables if v in dropset]
     ext = PolyRing(tuple(first + keep), ring.field)
-    perm = [ring.var_index(v) for v in ext.variables]
+    # both blocks are nonempty, so the getter returns tuples
+    take = itemgetter(*[ring.var_index(v) for v in ext.variables])
     k = len(first)
-
-    def move(f):
-        return Polynomial(
-            ext, {tuple(e[i] for i in perm): c for e, c in f.terms.items()}
-        )
-
-    gb = buchberger([move(g) for g in a.gens], BlockElimination(k))
+    gens = [
+        Polynomial(ext, {take(e): c for e, c in g.terms.items()})
+        for g in a.gens
+    ]
+    gb = buchberger(gens, BlockElimination(k))
     target = PolyRing(tuple(keep), ring.field)
     out = []
     for p in gb:
-        if all(all(x == 0 for x in e[:k]) for e in p.terms):
+        if not any(any(e[:k]) for e in p.terms):
             out.append(Polynomial(target, {e[k:]: c for e, c in p.terms.items()}))
     return Ideal(target, out)
 
@@ -1164,7 +1115,7 @@ def radical_membership(f, a):
         return True
     if a.contains(f):
         return True
-    zname = _fresh_name(ring, "z")
+    zname = _fresh_name(ring.variables, "z")
     ext = PolyRing(ring.variables + (zname,), ring.field)
     n = ring.nvars
     z = ext.var(zname)

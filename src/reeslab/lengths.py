@@ -22,14 +22,15 @@ length of N_b - N_a read the same way: λ(a/b) = λ(R/(b + m^k)) -
 subquotient_length read this split; so do reduction.local_dimension
 and reduction.analytic_spread for dimensions, and
 multiplicity.module_multiplicity for multiplicities.  A lead exponent
-of all zeros means a contains a unit of R_m: its colength is 0.  All
+of all zeros means a contains a unit of R_m: its colength is 0.  The
+same leads decide containment in R_m (`_inside_locally`): b·R_m lies
+inside a·R_m exactly when a and a + b have the same local leads.  All
 values are exact integers; anything not certifiably finite raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, zip_longest
 
 from .errors import (
@@ -42,8 +43,8 @@ from .groebner import (
     _fresh_name,
     _numerator,
     buchberger,
+    ideal_sum,
     minimal_exponents,
-    unit_ideal,
 )
 from .ring import DEFAULT_ORDER, PolyRing, Polynomial, leading_term
 
@@ -67,35 +68,6 @@ def maximal_ideal(ring):
     return Ideal(ring, ring.gens())
 
 
-@lru_cache(maxsize=None)
-def _degree_exponents(nvars, k):
-    # exponent tuples of total degree exactly k, in lex order
-    out = []
-
-    def rec(prefix, left, pos):
-        if pos == nvars - 1:
-            out.append(prefix + (left,))
-            return
-        for e in range(left + 1):
-            rec(prefix + (e,), left - e, pos + 1)
-
-    rec((), k, 0)
-    return tuple(out)
-
-
-def m_power(ring, k):
-    """The k-th power of the maximal ideal: all degree-k monomials."""
-    if k < 0:
-        raise ValueError("power must be nonnegative")
-    if k == 0:
-        return unit_ideal(ring)
-    one = ring.field.one
-    return Ideal(
-        ring,
-        [Polynomial(ring, {e: one}) for e in _degree_exponents(ring.nvars, k)],
-    )
-
-
 class _LazardOrder:
     """Total degree first, then the larger power of h, then grevlex on x.
 
@@ -115,7 +87,8 @@ def _lazard_leads(a):
     # the minimal dehomogenized leads of a Groebner basis of the
     # homogenized generators under _LAZARD
     ring = a.ring
-    ext = PolyRing((_fresh_name(ring, "h"),) + ring.variables, ring.field)
+    h = _fresh_name(ring.variables, "h")
+    ext = PolyRing((h,) + ring.variables, ring.field)
     gens = []
     for f in a.gens:
         d = max(sum(e) for e in f.terms)
@@ -144,6 +117,21 @@ def _local_leads(a):
 def _is_local_unit(a):
     """Does a contain a unit of R_m: is one of its local leads 1?"""
     return (0,) * a.ring.nvars in _local_leads(a)
+
+
+def _inside_locally(a, b):
+    """Does b·R_m lie inside a·R_m?
+
+    A homogeneous ideal is the contraction of its localization, since
+    its associated primes lie in m, so a graded pair is compared in R.
+    Otherwise a·R_m lies inside (a + b)·R_m, and two nested ideals of
+    R_m are equal exactly when their standard bases have the same leads.
+    """
+    if b.is_zero:
+        return True
+    if a.is_homogeneous() and b.is_homogeneous():
+        return a.contains_ideal(b)
+    return _local_leads(ideal_sum(a, b)) == _local_leads(a)
 
 
 def _split_pole(b, a=None):
@@ -200,10 +188,10 @@ def subquotient_length(a, b, check_containment=True):
     if a.ring != b.ring:
         raise RingMismatchError(f"{a.ring!r} vs {b.ring!r}")
     if check_containment:
-        # a graded length reads the full basis of a: built first, it
-        # serves the containment check too
-        a.groebner()
-        if not a.contains_ideal(b):
+        # the length reads the local leads of a: built first, they serve
+        # the containment check too
+        _local_leads(a)
+        if not _inside_locally(a, b):
             raise ContainmentError("the second ideal is not inside the first")
     if a.is_zero:
         return 0

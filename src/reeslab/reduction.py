@@ -6,12 +6,15 @@ the origin, so grade and height agree.  The dimension of R_m/a, and
 with it grade and whether a radical reaches m, is n minus the power of
 1 - t that divides the Hilbert numerator of the local leads of a
 (lengths._split_pole), for every input.  Analytic spread reads the
-same split on the fiber, which is the same for R and R_m.  The
-reduction search and the colon, d-sequence and depth tests still work
-with global ideals.  Verdicts distinguish a
-witnessed fact from an exhausted search: a direct reduction search
-that merely ran out of exponents is upgraded to a certified negative
-only when the degree criterion concurs.
+same split on the fiber, which is the same for R and R_m.
+Containments, the steps of the reduction search, and the colon
+comparisons of the d-sequence and depth tests are decided in R_m
+(lengths._inside_locally); colons commute with localization.  The
+colon chain of radical_colon_stability and its radicals are still
+global.  Verdicts distinguish a witnessed fact from an exhausted
+search: a direct reduction search that merely ran out of exponents is
+upgraded to a certified negative only when the degree criterion
+concurs.
 """
 
 from __future__ import annotations
@@ -30,23 +33,24 @@ from .errors import (
 )
 from .groebner import (
     Ideal,
+    _fresh_name,
     _lift,
     colon,
     eliminate,
-    ideal_equal,
     ideal_power,
     ideal_product,
-    ideal_sum,
     radical_membership,
 )
 from .lengths import (
     FunctionTable,
+    _inside_locally,
     _is_local_unit,
+    _local_leads,
     _split_pole,
     maximal_ideal,
     subquotient_length,
 )
-from .ring import PolyRing
+from .ring import PolyRing, Polynomial
 
 
 def _as_consecutive(n_range):
@@ -59,7 +63,7 @@ def _as_consecutive(n_range):
 
 
 def _require_containment(outer, inner):
-    if not outer.contains_ideal(inner):
+    if not _inside_locally(outer, inner):
         raise ContainmentError(
             "the candidate ideal is not inside the ideal it should reduce"
         )
@@ -67,9 +71,9 @@ def _require_containment(outer, inner):
 
 def rees_function(outer, inner, n_range=range(1, 9)):
     """n -> length of outer^n/inner^n; the failing n is named on error."""
-    # the length at n = 1 reads the full basis of outer: built first, it
-    # serves the containment check too
-    outer.groebner()
+    # the length at n = 1 reads the local leads of outer: built first,
+    # they serve the containment check too
+    _local_leads(outer)
     _require_containment(outer, inner)
     ns = _as_consecutive(n_range)
     values = []
@@ -111,7 +115,7 @@ def reduction_test(outer, inner, n_max=10):
         step = ideal_product(inner, ideal_power(outer, n))
         target = ideal_power(outer, n + 1)
         # one containment suffices: inner·outer^n sits inside outer^(n+1)
-        if step.contains_ideal(target):
+        if _inside_locally(step, target):
             return ReductionVerdict(True, n, "direct", n_max, True)
     return ReductionVerdict(False, None, "direct", n_max, False)
 
@@ -146,13 +150,6 @@ def rees_criterion(outer, inner, n_range=range(1, 9), window=3):
     )
 
 
-def integral_dependence(f, inner, n_max=10):
-    """Is f integral over the ideal: does the ideal reduce (ideal, f)?"""
-    ring = inner.ring
-    outer = ideal_sum(inner, Ideal(ring, (f,)))
-    return reduction_test(outer, inner, n_max)
-
-
 def local_dimension(a):
     """Dimension of the vanishing locus at the origin.
 
@@ -174,39 +171,34 @@ def grade_cm(a):
 def analytic_spread(inner):
     """Dimension of the special fiber of the blowup along the ideal.
 
-    Presented by eliminating the parameter from (u_i - s·g_i), then the
-    original variables; what remains is the defining ideal of the fiber
-    in the u-coordinates.
+    Eliminating the parameter from (u_i - s·g_i) presents the Rees
+    algebra as k[x, u]/C; the fiber is its quotient by (x), presented in
+    the u-coordinates by C with x set to 0, since k[x, u]/(x) is k[u].
     """
     if inner.is_zero:
         raise PreconditionError("the zero ideal has no blowup fiber")
-    if inner.is_unit():
+    if _is_local_unit(inner):
         raise PreconditionError("the unit ideal has no blowup fiber")
     ring = inner.ring
     gens = inner.gens
-    names = []
-    taken = set(ring.variables)
-    i = 1
-    while len(names) < len(gens):
-        cand = f"u{i}"
-        if cand not in taken:
-            names.append(cand)
-            taken.add(cand)
-        i += 1
-    sname = "s"
-    while sname in taken:
-        sname += "0"
-    ext = PolyRing(ring.variables + tuple(names) + (sname,), ring.field)
+    names = list(ring.variables)
+    for i in range(1, len(gens) + 1):
+        names.append(_fresh_name(names, f"u{i}"))
+    sname = _fresh_name(names, "s")
+    ext = PolyRing(tuple(names) + (sname,), ring.field)
     n = ring.nvars
     s = ext.var(sname)
     rels = [
-        ext.var(names[j]) - s * _lift(g, ext, 0, n) for j, g in enumerate(gens)
+        ext.var(names[n + j]) - s * _lift(g, ext, 0, n)
+        for j, g in enumerate(gens)
     ]
     cone = eliminate(Ideal(ext, rels), [sname])
-    mixed = ideal_sum(
-        cone, Ideal(cone.ring, [cone.ring.var(v) for v in ring.variables])
-    )
-    fiber = eliminate(mixed, list(ring.variables))
+    fiber_ring = PolyRing(tuple(names[n:]), ring.field)
+    at_zero = [
+        {e[n:]: c for e, c in g.terms.items() if not any(e[:n])}
+        for g in cone.gens
+    ]
+    fiber = Ideal(fiber_ring, [Polynomial(fiber_ring, t) for t in at_zero])
     if fiber.groebner().is_unit:
         raise PreconditionError("blowup fiber collapsed; internal error")
     return fiber.ring.nvars - _split_pole(fiber)[0]
@@ -240,7 +232,8 @@ def d_sequence_check(seq):
             gk = polys[k - 1]
             lhs = colon(prefix, Ideal(ring, (nxt * gk,)))
             rhs = colon(prefix, Ideal(ring, (gk,)))
-            if not ideal_equal(lhs, rhs):
+            # rhs lies in lhs, so only the other inclusion can fail
+            if not _inside_locally(rhs, lhs):
                 witness = (
                     f"prefix of length {i} fails to absorb the product "
                     f"of entries {i + 1} and {k}"
@@ -248,7 +241,7 @@ def d_sequence_check(seq):
                 return DSequenceReport(False, False, witness)
     for i in range(n):
         others = Ideal(ring, polys[:i] + polys[i + 1 :])
-        if others.contains(polys[i]):
+        if _inside_locally(others, Ideal(ring, (polys[i],))):
             witness = f"entry {i + 1} lies in the ideal of the others"
             return DSequenceReport(True, False, witness)
     return DSequenceReport(True, True, None)
@@ -257,9 +250,10 @@ def d_sequence_check(seq):
 def depth_positive(inner):
     """Does some linear-so-to-speak parameter survive: is the maximal
     ideal non-associated, i.e. (ideal : m) = ideal?"""
-    if inner.is_zero or inner.is_unit():
+    if inner.is_zero or _is_local_unit(inner):
         raise PreconditionError("depth test needs a proper nonzero ideal")
-    return ideal_equal(colon(inner, maximal_ideal(inner.ring)), inner)
+    # inner lies in inner : m, so only the other inclusion can fail
+    return _inside_locally(inner, colon(inner, maximal_ideal(inner.ring)))
 
 
 @dataclass(frozen=True)

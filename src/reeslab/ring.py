@@ -135,8 +135,6 @@ class PrimeField:
 class GrevLex:
     """Graded reverse lexicographic; the package default."""
 
-    kind = "grevlex"
-
     def key(self, e):
         return (sum(e),) + tuple(-x for x in reversed(e))
 
@@ -144,8 +142,6 @@ class GrevLex:
 @dataclass(frozen=True)
 class Lex:
     """Pure lexicographic in declaration order."""
-
-    kind = "lex"
 
     def key(self, e):
         return e
@@ -162,8 +158,6 @@ class BlockElimination:
 
     first_block: int
 
-    kind = "block"
-
     def key(self, e):
         k = self.first_block
         a = e[:k]
@@ -174,23 +168,6 @@ class BlockElimination:
             + (sum(b),)
             + tuple(-x for x in reversed(b))
         )
-
-
-@dataclass(frozen=True)
-class WeightedGrevLex:
-    """Compare by positive-weight degree first, then plain grevlex."""
-
-    weights: tuple
-
-    kind = "wgrevlex"
-
-    def __post_init__(self):
-        if not self.weights or any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
-
-    def key(self, e):
-        wd = sum(w * x for w, x in zip(self.weights, e))
-        return (wd, sum(e)) + tuple(-x for x in reversed(e))
 
 
 DEFAULT_ORDER = GrevLex()
@@ -313,9 +290,6 @@ class Polynomial:
     def is_homogeneous(self):
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
-
-    def constant_coefficient(self):
-        return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero)
 
     def __bool__(self):
         return bool(self.terms)

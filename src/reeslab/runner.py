@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
+from .asymptotics import fit_eventual_polynomial
 from .errors import LengthCertificationError, ReeslabError
 from .filtrations import (
     ExplicitFiltration,
@@ -31,7 +32,6 @@ from .reduction import (
     reduction_test,
     rees_function,
 )
-from .asymptotics import fit_table
 from .ring import RationalField, poly_str
 from .session import TASK_KINDS, _arg_text, _option_text
 
@@ -88,7 +88,7 @@ def _run_rees(session, task):
     n_range = task.options.get("nrange", range(1, 9))
     window = task.options.get("window", 3)
     table = rees_function(outer, inner, n_range)
-    fit = fit_table(table, window)
+    fit = fit_eventual_polynomial(table.values, table.start, window)
     return {
         "table": _table_json(table),
         "fit": _fit_json(fit),

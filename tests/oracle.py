@@ -3,14 +3,17 @@
 Everything here works on plain exponent tuples so the answers cannot
 share code paths with the library.  Counting routines refuse to answer
 unless they can certify their own bound.  The exceptions read only the
-library's `buchberger`, `divide` with its `DivisorTable`, `monic` and
+library's `buchberger`, `divide` with its `DivisorTable` and
 `leading_term`, none of its ideal operations or lengths:
 `elimination_colon`, the textbook colon by elimination; `interreduce`,
 the reference for `ideal_product`; `hilbert_samples`, the sampler
-k -> λ(a/(b + m^k·a)) for graded ideals; and `nakayama_colength`, the
-colength of a·R_m by truncation.
+k -> λ(a/(b + m^k·a)) for graded ideals; `nakayama_colength`, the
+colength of a·R_m by truncation; and the textbook helpers at the end,
+`monic`, `s_polynomial`, the order `WeightedGrevLex` and
+`normalized_leading_coefficient`.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 
 
@@ -303,7 +306,6 @@ def interreduce(polys, order=None):
         leading_term,
     )
 
-    monic = groebner.monic
     order = order or DEFAULT_ORDER
     polys = [g for g in polys if not g.is_zero]
     if not polys:
@@ -390,3 +392,86 @@ def nakayama_colength(a, cap=16):
             return prev
         prev = nxt
     return None
+
+
+def monic(f, order=None):
+    """Scale f so its leading coefficient is 1."""
+    from reeslab import DEFAULT_ORDER, Polynomial, leading_term
+
+    _, lc = leading_term(f, order or DEFAULT_ORDER)
+    field = f.ring.field
+    if lc == field.one:
+        return f
+    inv = field.invert(lc)
+    return Polynomial(f.ring, {e: field.mul(c, inv) for e, c in f.terms.items()})
+
+
+def _monic_multiple(f, lead, lc, target):
+    # x^(target - lead) * f / lc, whose leading term is x^target
+    from reeslab import Polynomial
+
+    shift = tuple(t - e for t, e in zip(target, lead))
+    field = f.ring.field
+    inv = field.invert(lc)
+    return Polynomial(
+        f.ring,
+        {
+            tuple(a + b for a, b in zip(e, shift)): field.mul(c, inv)
+            for e, c in f.terms.items()
+        },
+    )
+
+
+def s_polynomial(f, g, order=None):
+    """Cancel the leading terms of f and g against their lcm."""
+    from reeslab import DEFAULT_ORDER, leading_term
+
+    order = order or DEFAULT_ORDER
+    ef, cf = leading_term(f, order)
+    eg, cg = leading_term(g, order)
+    lcm_exps = tuple(max(a, b) for a, b in zip(ef, eg))
+    return _monic_multiple(f, ef, cf, lcm_exps) - _monic_multiple(
+        g, eg, cg, lcm_exps
+    )
+
+
+class WeightedGrevLex:
+    """Compare by positive-weight degree first, then plain grevlex.
+
+    A plain class, not a dataclass: the benchmark's checker loads this
+    module, and importing `dataclasses` would raise its memory peak.
+    """
+
+    __slots__ = ("weights",)
+
+    def __init__(self, weights):
+        if not weights or any(w <= 0 for w in weights):
+            raise ValueError("weights must be positive")
+        self.weights = tuple(weights)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, WeightedGrevLex) and self.weights == other.weights
+        )
+
+    def __hash__(self):
+        return hash(self.weights)
+
+    def key(self, e):
+        wd = sum(w * x for w, x in zip(self.weights, e))
+        return (wd, sum(e)) + tuple(-x for x in reversed(e))
+
+
+def normalized_leading_coefficient(fit, t):
+    """t!·(coefficient of n^t) of a fit: e0 at full degree, 0 below it."""
+    from reeslab import PreconditionError
+
+    if fit.is_zero:
+        return Fraction(0)
+    if fit.degree > t:
+        raise PreconditionError(
+            f"fit degree {fit.degree} exceeds the dimension bound {t}"
+        )
+    if fit.degree < t:
+        return Fraction(0)
+    return fit.binomial_coeffs[0]

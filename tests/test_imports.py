@@ -1,9 +1,14 @@
-"""Every module reads every name it imports.
+"""Every module reads every name it imports, and every private helper
+is read somewhere.
 
 A stdlib `ast` scan stands in for a linter: it collects the names each
 module under `src/reeslab` and `tests` binds by `import` and
 `from ... import`, and fails on any the module never reads as a name.
 `__init__.py` files are skipped, since their imports are re-exports.
+A second scan collects the private names (one leading underscore) that
+each module of `src/reeslab` binds at top level, and fails on any that
+no top-level statement of `src/reeslab` other than its own definition
+reads, as a name or an attribute.
 """
 
 import ast
@@ -41,3 +46,44 @@ def test_no_unused_imports():
         for line, name in _unused_imports(path)
     ]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _top_level_names(stmt):
+    # the names a top-level definition or assignment binds
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        return {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+    return set()
+
+
+def _reads(stmt):
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def test_no_orphaned_private_helpers():
+    statements = [
+        (path, stmt)
+        for path in sorted((ROOT / "src/reeslab").glob("*.py"))
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    defined = [
+        (path, stmt, name)
+        for path, stmt in statements
+        for name in sorted(_top_level_names(stmt))
+        if name.startswith("_") and not name.startswith("__")
+    ]
+    assert len(defined) > 20
+    reads = [(stmt, _reads(stmt)) for _, stmt in statements]
+    orphans = [
+        f"{path.relative_to(ROOT)}:{stmt.lineno}: {name}"
+        for path, stmt, name in defined
+        if not any(name in read for other, read in reads if other is not stmt)
+    ]
+    assert not orphans, "private names nothing reads:\n" + "\n".join(orphans)

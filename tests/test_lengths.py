@@ -25,7 +25,6 @@ from reeslab import (
     ideal_power,
     ideal_product,
     ideal_sum,
-    m_power,
     maximal_ideal,
     subquotient_length,
     zero_ideal,
@@ -39,7 +38,7 @@ x3, y3, z3 = R3.gens()
 
 
 def test_colength_frozen():
-    assert colength(m_power(R, 3)) == 6
+    assert colength(ideal_power(maximal_ideal(R), 3)) == 6
     assert colength(Ideal(R, (x**2, y**2))) == 4
     assert colength(Ideal(R, (x**2, x * y, y**2))) == 3
     assert colength(Ideal(R, (x - y**2, y**3))) == 3
@@ -269,7 +268,7 @@ def test_oracle_refusal_matches_capped_search():
 
 
 def ideal_product_with_mpower(a, c):
-    return ideal_product(a, m_power(a.ring, c))
+    return ideal_product(a, ideal_power(maximal_ideal(a.ring), c))
 
 
 def ideal_to_exps_safe(b):

@@ -21,10 +21,13 @@ from reeslab import (
     PrimeField,
     RationalField,
     colength,
+    depth_positive,
     grade_cm,
+    ideal_power,
     ideal_product,
+    ideal_sum,
     local_dimension,
-    m_power,
+    maximal_ideal,
     module_multiplicity,
     parse_session,
     radical_contains_variables,
@@ -203,7 +206,8 @@ def test_subquotient_matches_nakayama():
         unit = ring.one + random_form(rng, ring, 1)
         f = a.gens[0]
         principal = Ideal(ring, (f,))
-        shifted = Ideal(ring, [f * unit * g for g in m_power(ring, c).gens])
+        mc = ideal_power(maximal_ideal(ring), c)
+        shifted = Ideal(ring, [f * unit * g for g in mc.gens])
         assert subquotient_length(principal, shifted) == comb(
             ring.nvars + c - 1, ring.nvars
         )
@@ -211,7 +215,7 @@ def test_subquotient_matches_nakayama():
             top = colength(a)
         except LengthCertificationError:
             continue
-        b = ideal_product(a, m_power(ring, c))
+        b = ideal_product(a, mc)
         b = Ideal(ring, [g * unit for g in b.gens] + list(a.gens[1:]))
         got = subquotient_length(a, b)
         # m^k lies in b·R_m for k = λ(R_m/b) = got + top
@@ -252,3 +256,72 @@ def test_local_values_through_the_runner():
     assert mult["hypotheses"] == {"pair_trivial": "verified"}
     C = Ideal(R, (x * (1 + x), y))
     assert rees_criterion(M, C).verdict == "REDUCTION"
+
+
+CONTAINMENT_SESSION = """\
+ring q[x,y]
+ideal A = x^2 - x, y
+ideal M2 = x^2, x*y, y^2
+ideal M = x, y
+ideal C = x + x^2, y
+poly F = x*(x - 1)^2
+poly G = y*(x - 1)
+task length A M2
+task mult A M2
+task reduction M C
+task dseq F G
+"""
+
+
+def test_local_containment_through_the_runner():
+    # A·R_m = m holds M2 = m^2, though A does not; C·R_m = m too; and
+    # (F, G) is (x, y) up to units of R_m
+    tasks = run_session(parse_session(CONTAINMENT_SESSION))["tasks"]
+    assert tasks[0]["length"] == 2
+    mult = tasks[1]
+    assert mult["status"] == "ok"
+    # λ(m^n/m^2n) = C(2n+1, 2) - C(n+1, 2)
+    assert mult["e_table"]["values"] == [2, 7, 15, 26, 40]
+    reduction = tasks[2]
+    assert reduction["is_reduction"] is True
+    assert reduction["reduction_number"] == 0
+    assert reduction["certified"] is True
+    dseq = tasks[3]
+    assert dseq["weak"] is True and dseq["strict"] is True
+
+
+def test_local_units_are_refused():
+    # x - 1 is a unit of R_m, so (x - 1, y^3) has no fiber and no depth
+    session = "ring q[x,y]\nideal U = x - 1, y^3\ntask spread U\n"
+    (spread,) = run_session(parse_session(session))["tasks"]
+    assert spread["status"] == "error"
+    assert spread["error"] == {
+        "type": "PreconditionError",
+        "message": "the unit ideal has no blowup fiber",
+    }
+    with pytest.raises(PreconditionError, match="proper nonzero"):
+        depth_positive(Ideal(R, (x - 1, y**3)))
+
+
+def test_local_containment_matches_nakayama():
+    # b·R_m lies in a·R_m exactly when a + b has the colength of a
+    rng = random.Random(1105)
+    seen = []
+    for a in _local_ideals(rng, 60):
+        try:
+            top = colength(a)
+        except LengthCertificationError:
+            continue
+        ring = a.ring
+        f = _local_poly(rng, ring)
+        if rng.random() < 0.5:
+            # m^top lies in a·R_m, so this multiple of f does too
+            f = f * ring.gens()[rng.randrange(ring.nvars)] ** top
+        b = Ideal(ring, (f,))
+        want = nakayama_colength(
+            ideal_sum(a, b), cap=top + 2
+        ) == nakayama_colength(a, cap=top + 2)
+        assert lengths._inside_locally(a, b) == want, (a, b)
+        seen.append((want, a.contains_ideal(b)))
+    # inside in R_m only, inside in R too, and outside
+    assert {(True, False), (True, True), (False, False)} <= set(seen), seen

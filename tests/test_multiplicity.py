@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracle import exps_to_ideal, hilbert_samples, random_exps, random_form
+from oracle import (
+    exps_to_ideal,
+    hilbert_samples,
+    normalized_leading_coefficient,
+    random_exps,
+    random_form,
+)
 
 from reeslab import (
     ContainmentError,
@@ -22,7 +28,6 @@ from reeslab import (
     maximal_ideal,
     module_multiplicity,
     multiplicity_function,
-    normalized_leading_coefficient,
     radical_colon_stability,
     rees_function,
 )

@@ -8,17 +8,19 @@ import pytest
 from oracle import dimension, exps_to_ideal, random_exps, random_form
 
 from reeslab import (
+    BlockElimination,
     ContainmentError,
     Ideal,
     PolyRing,
     PreconditionError,
     RationalField,
     analytic_spread,
+    buchberger,
     d_sequence_check,
     depth_positive,
     grade_cm,
     ideal_equal,
-    integral_dependence,
+    ideal_sum,
     local_dimension,
     maximal_ideal,
     radical_colon_stability,
@@ -85,9 +87,11 @@ def test_criterion_negative_side():
 
 
 def test_integral_dependence():
-    hit = integral_dependence(x * y, DIAG)
+    # f is integral over J exactly when J reduces (J, f)
+    hit = reduction_test(ideal_sum(DIAG, Ideal(R, (x * y,))), DIAG)
     assert hit.is_reduction is True and hit.reduction_number == 1
-    miss = integral_dependence(x, Ideal(R, (y,)), n_max=5)
+    line = Ideal(R, (y,))
+    miss = reduction_test(ideal_sum(line, Ideal(R, (x,))), line, n_max=5)
     assert miss.is_reduction is False and miss.certified is False
 
 
@@ -163,6 +167,67 @@ def test_analytic_spread():
     assert analytic_spread(Ideal(R, (x**2, x * y))) == 2
     with pytest.raises(PreconditionError):
         analytic_spread(zero_ideal(R))
+
+
+def _elimination_fiber(a):
+    """The fiber ideal of the blowup along a, by two eliminations.
+
+    The cone C of the Rees algebra comes from (u_i - s·g_i) with s
+    eliminated, and the fiber is (C + (x)) ∩ k[u].  The variables of a's
+    ring must not be named s or u0, u1, ...
+    """
+    ring = a.ring
+    n = ring.nvars
+    us = tuple(f"u{i}" for i in range(len(a.gens)))
+    # s and x_1..x_n come first, so one block order eliminates s alone
+    # and the next all of them
+    ext = PolyRing(("s",) + ring.variables + us, ring.field)
+    s = ext.var("s")
+    pad = (0,) * len(us)
+    rels = [
+        ext.var(u) - s * ext.from_terms(
+            {(0,) + e + pad: c for e, c in g.terms.items()}
+        )
+        for u, g in zip(us, a.gens)
+    ]
+
+    def free_of(polys, k):
+        # the polys in no variable among the first k
+        return [p for p in polys if not any(any(e[:k]) for e in p.terms)]
+
+    cone = free_of(buchberger(rels, BlockElimination(1)), 1)
+    mixed = cone + [ext.var(v) for v in ring.variables]
+    fiber_ring = PolyRing(us, ring.field)
+    return Ideal(
+        fiber_ring,
+        [
+            fiber_ring.from_terms({e[n + 1:]: c for e, c in p.terms.items()})
+            for p in free_of(buchberger(mixed, BlockElimination(n + 1)), n + 1)
+        ],
+    )
+
+
+def test_spread_fiber_matches_elimination():
+    # the fiber is the cone with x set to 0; the textbook presentation
+    # eliminates x from the cone plus (x) instead
+    rng = random.Random(1201)
+    rings = [R, PolyRing(("x", "y", "z"), RationalField())]
+    seen = set()
+    for _ in range(30):
+        ring = rng.choice(rings)
+        gens = [
+            random_form(rng, ring, rng.randint(1, 2))
+            for _ in range(rng.randint(1, 3))
+        ]
+        if rng.random() < 0.5:
+            gens = [g * (ring.one + random_form(rng, ring, 1)) for g in gens]
+        a = Ideal(ring, gens)
+        if a.is_zero:
+            continue
+        want = local_dimension(_elimination_fiber(a))
+        assert analytic_spread(a) == want, a
+        seen.add(a.is_homogeneous())
+    assert seen == {True, False}
 
 
 def test_d_sequence_strict():

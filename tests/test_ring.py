@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracle import WeightedGrevLex
+
 from reeslab import (
     DEFAULT_ORDER,
     NEG_INF,
@@ -15,7 +17,6 @@ from reeslab import (
     PrimeField,
     RationalField,
     RingMismatchError,
-    WeightedGrevLex,
     ZeroPolynomialError,
     leading_term,
     poly_str,
