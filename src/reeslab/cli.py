@@ -22,7 +22,7 @@ from .corpus import run_corpus
 from .errors import ParseError, PreconditionError
 from .groebner import _ACTIVE_BUDGET, BUDGET
 from .runner import run_session
-from .session import Task, parse_session
+from .session import _TASK_OPTIONS, Task, parse_session
 
 _BUDGET_KEYS = {
     "basis": "max_basis",
@@ -63,11 +63,11 @@ def _int_at_least(least):
 
 
 def _override_nmax(session, nmax):
-    from .session import _TASK_OPTIONS
-
+    # an explicit filtration admits no nmax, though its kind lists one
     tasks = []
     for task in session.tasks:
-        if "nmax" in _TASK_OPTIONS[task.kind]:
+        explicit = task.kind == "filtration" and task.args[0] == "explicit"
+        if "nmax" in _TASK_OPTIONS[task.kind] and not explicit:
             options = dict(task.options)
             options["nmax"] = nmax
             task = Task(task.kind, task.args, options)

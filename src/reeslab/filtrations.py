@@ -23,10 +23,15 @@ from .groebner import Ideal, ideal_power, ideal_product
 from .lengths import (
     FunctionTable,
     _inside_locally,
-    _local_leads,
     subquotient_length,
 )
-from .reduction import ReductionVerdict, _require_containment, grade_cm, reduction_test
+from .reduction import (
+    ReductionVerdict,
+    _as_consecutive,
+    _require_containment,
+    grade_cm,
+    reduction_test,
+)
 
 
 class PowerFiltrationFamily:
@@ -84,9 +89,7 @@ def product_power_length(family, m):
 
 
 def product_power_table(family, m_range=range(1, 6)):
-    ms = list(m_range)
-    if not ms or ms != list(range(ms[0], ms[0] + len(ms))):
-        raise PreconditionError("sample range must be consecutive ascending")
+    ms = _as_consecutive(m_range)
     values = tuple(product_power_length(family, m) for m in ms)
     return FunctionTable(ms[0], values)
 
@@ -211,7 +214,6 @@ def explicit_filtration_table(fi, fj):
     for m in range(1, top + 1):
         a = fi.level(m)
         b = fj.level(m)
-        _local_leads(a)  # the length reads them; the check reuses them
         if not _inside_locally(a, b):
             raise ContainmentError(
                 f"level {m} of the second filtration is not inside "

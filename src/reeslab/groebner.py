@@ -52,20 +52,14 @@ minimalize once, with no polynomial arithmetic.  Products of other
 ideals multiply the integer coefficients of their generators, and
 `_interreduce_forms` takes one primitive form per product.
 
-Membership in a homogeneous ideal needs only the low-degree part of its
-basis.  When every generator is homogeneous, S-polynomials and their
-remainders are homogeneous of the degree of the pair's lcm, and the
-normal strategy treats the pairs by ascending lcm degree; so stopping
-the loop before the first pair above a degree D leaves exactly the
-elements of degree at most D of the reduced basis, the truncated or
-D-Groebner basis (Becker-Weispfenning, Gröbner Bases, §10.2;
-Kreuzer-Robbiano, Computational Commutative Algebra 2, §4.5).  A
-homogeneous polynomial of degree at most D divides by it exactly as by
-the full basis.  `Ideal.contains` and `Ideal.contains_ideal` use such a
-basis, cut at the largest degree asked about, for homogeneous questions
-to a homogeneous ideal that is not monomial and has no full basis
-cached yet; everything else, and `Ideal.groebner`, sees full bases
-only.
+`buchberger`'s private `_degree` stops the S-pair loop of homogeneous
+generators at a degree D.  Their S-polynomials and remainders are
+homogeneous of the pair's lcm degree, and the pairs go by ascending lcm
+degree, so the loop leaves exactly the elements of degree at most D of
+the reduced basis, which divide a homogeneous polynomial of degree at
+most D as the full basis does (Becker-Weispfenning, Gröbner Bases,
+§10.2).  Its one caller is the step of `reduction.reduction_test`;
+`Ideal` keeps full bases only.
 
 A colon a : b intersects the pieces a : (g) over the generators g of b
 outside a.  Each piece is (a ∩ (g))/g, and an intersection is read off
@@ -519,12 +513,6 @@ def divide(f, divisors, order=DEFAULT_ORDER, with_quotients=False):
     return [Polynomial(ring, q) for q in quotients], rem
 
 
-class _Truncated(list):
-    """A reduced basis through a degree cap, with pairs above it left."""
-
-    __slots__ = ()
-
-
 def buchberger(
     gens, order=DEFAULT_ORDER, budget=None, _degree=None, _reduced=0
 ):
@@ -538,10 +526,8 @@ def buchberger(
     its lcm and both flanking pairs were already treated.
 
     `_degree`, for homogeneous generators only, stops the loop before
-    the first pair whose lcm has a higher degree.  What it then returns,
-    as a `_Truncated` list, are the elements of degree at most `_degree`
-    of the reduced basis; a loop that runs out of pairs first returns
-    the whole reduced basis as a plain list.
+    the first pair whose lcm has a higher degree; what it returns are
+    the elements of degree at most `_degree` of the reduced basis.
 
     `_reduced` says that the first that many generators already form a
     reduced basis in the order, such as a cached basis grown by new
@@ -571,9 +557,11 @@ def buchberger(
         nonzero.append(g)
     if not nonzero:
         return []
+    cap = float("inf") if _degree is None else _degree
     exps = _monomial_exps(nonzero)
     if exps is not None:
-        return _monomials(ring, minimal_exponents(exps, order))
+        minimal = minimal_exponents(exps, order)
+        return _monomials(ring, [e for e in minimal if sum(e) <= cap])
     p = _char(ring)
     key = order.key
     table = DivisorTable((), order)
@@ -616,7 +604,6 @@ def buchberger(
         append(form)
     for t in range(_reduced, len(basis)):
         queue_pairs(t)
-    cap = float("inf") if _degree is None else _degree
     while heap and heap[0][0] <= cap:
         _, _, i, j = heapq.heappop(heap)
         pending.discard((i, j))
@@ -663,13 +650,11 @@ def buchberger(
                 "raise REESLAB_BUDGET basis=N"
             )
         queue_pairs(len(basis) - 1)
-    if not heap:
-        return _reduce_basis(ring, basis, order, table.memo)
     # every pair left, and every element it would add, lies above the
     # cap, and homogeneous division never leaves a degree, so the
     # elements through the cap are already those of the reduced basis
     low = [form for form in basis if sum(form[0]) <= cap]
-    return _Truncated(_reduce_basis(ring, low, order, table.memo))
+    return _reduce_basis(ring, low, order, table.memo)
 
 
 def _reduce_basis(ring, basis, order, memo):
@@ -749,13 +734,11 @@ class Ideal:
     """A finitely generated ideal with cached reduced bases.
 
     The generator list keeps its given order (zeros dropped, duplicates
-    collapsed); value-level questions go through a Groebner basis,
-    cached per monomial order.  Membership of homogeneous polynomials in
-    a homogeneous ideal may instead read a basis truncated at their
-    degree, kept beside the full ones; `groebner` never returns it.
+    collapsed); value-level questions, membership among them, go through
+    the full reduced Groebner basis, cached per monomial order.
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_cache", "_low")
+    __slots__ = ("ring", "gens", "_gb", "_cache")
 
     def __init__(self, ring, gens=()):
         polys = []
@@ -775,7 +758,6 @@ class Ideal:
         self.gens = tuple(polys)
         self._gb = {}
         self._cache = {}
-        self._low = None  # (degree cap, truncated basis) or None
 
     def __repr__(self):
         inner = ", ".join(poly_str(g) for g in self.gens)
@@ -792,32 +774,6 @@ class Ideal:
         """Is every generator homogeneous?"""
         return all(g.is_homogeneous() for g in self.gens)
 
-    def _membership_basis(self, polys):
-        # a basis whose normal forms decide membership of the nonzero
-        # polys: the full basis when it is cached; for homogeneous polys
-        # in a homogeneous ideal that is not monomial, the reduced basis
-        # through their top degree, which holds every element a division
-        # of theirs can use; the full basis otherwise
-        gb = self._gb.get(DEFAULT_ORDER)
-        if (
-            gb is not None
-            or _monomial_exps(self.gens) is not None
-            or not all(f.is_homogeneous() for f in polys)
-            or not self.is_homogeneous()
-        ):
-            return self.groebner()
-        degree = max(total_degree(f) for f in polys)
-        if self._low is not None and self._low[0] >= degree:
-            return self._low[1]
-        basis = buchberger(self.gens, DEFAULT_ORDER, _degree=degree)
-        gb = GroebnerBasis(self.ring, DEFAULT_ORDER, basis)
-        if isinstance(basis, _Truncated):
-            self._low = (degree, gb)
-        else:
-            self._gb[DEFAULT_ORDER] = gb
-            self._low = None
-        return gb
-
     def contains(self, f):
         if isinstance(f, (int, Fraction)):
             f = self.ring.const(f)
@@ -825,13 +781,13 @@ class Ideal:
             return True
         if f.ring != self.ring:
             raise RingMismatchError(f"{self.ring!r} vs {f.ring!r}")
-        return self._membership_basis((f,)).contains(f)
+        return self.groebner().contains(f)
 
     def contains_ideal(self, other):
         _same_ring(self, other)
         if other.is_zero:
             return True
-        gb = self._membership_basis(other.gens)
+        gb = self.groebner()
         return all(gb.contains(g) for g in other.gens)
 
     @property
@@ -999,16 +955,13 @@ def _colon(a, b):
     ring = a.ring
     if a.is_zero:
         return zero_ideal(ring)
-    graded = a.is_homogeneous() and b.is_homogeneous()
-    if graded:
-        # the certificate reads the full basis: built first, it serves
-        # the containment tests too
-        gb = a.groebner()
     outside = [g for g in b.gens if not a.contains(g)]
     if not outside:
         return unit_ideal(ring)
+    gb = a.groebner()
     if (
-        graded
+        a.is_homogeneous()
+        and b.is_homogeneous()
         and _monomial_exps(a.gens + tuple(outside)) is None
         and _has_nonzerodivisor(gb, outside)
     ):

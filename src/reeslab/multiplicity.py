@@ -94,10 +94,6 @@ def multiplicity_function(outer, inner, n_range=None, stab_n_max=3, window=3):
     here are recorded as assumed, failed hypotheses make the verdict
     not applicable.
     """
-    # the lengths at n = 1 and the verdicts read the local leads of both
-    # ideals: built first, they serve the containment tests too
-    _local_leads(outer)
-    _local_leads(inner)
     _require_containment(outer, inner)
     stab = radical_colon_stability(outer, inner, stab_n_max)
     proxy, r = stab.proxy, stab.stable_from

@@ -9,12 +9,13 @@ with it grade and whether a radical reaches m, is n minus the power of
 same split on the fiber, which is the same for R and R_m.
 Containments, the steps of the reduction search, and the colon
 comparisons of the d-sequence and depth tests are decided in R_m
-(lengths._inside_locally); colons commute with localization.  The
-colon chain of radical_colon_stability and its radicals are still
-global.  Verdicts distinguish a witnessed fact from an exhausted
-search: a direct reduction search that merely ran out of exponents is
-upgraded to a certified negative only when the degree criterion
-concurs.
+(lengths._inside_locally); colons commute with localization.  A graded
+step reads the basis of inner·outer^n only through the top degree of
+outer^(n+1).  The colon chain of radical_colon_stability and its
+radicals are still global.  Verdicts distinguish a witnessed fact from
+an exhausted search: a direct reduction search that merely ran out of
+exponents is upgraded to a certified negative only when the degree
+criterion concurs.
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ from .errors import (
     PreconditionError,
 )
 from .groebner import (
+    GroebnerBasis,
     Ideal,
     _fresh_name,
     _lift,
+    buchberger,
     colon,
     eliminate,
     ideal_power,
@@ -45,12 +48,11 @@ from .lengths import (
     FunctionTable,
     _inside_locally,
     _is_local_unit,
-    _local_leads,
     _split_pole,
     maximal_ideal,
     subquotient_length,
 )
-from .ring import PolyRing, Polynomial
+from .ring import DEFAULT_ORDER, PolyRing, Polynomial, total_degree
 
 
 def _as_consecutive(n_range):
@@ -71,9 +73,6 @@ def _require_containment(outer, inner):
 
 def rees_function(outer, inner, n_range=range(1, 9)):
     """n -> length of outer^n/inner^n; the failing n is named on error."""
-    # the length at n = 1 reads the local leads of outer: built first,
-    # they serve the containment check too
-    _local_leads(outer)
     _require_containment(outer, inner)
     ns = _as_consecutive(n_range)
     values = []
@@ -115,9 +114,20 @@ def reduction_test(outer, inner, n_max=10):
         step = ideal_product(inner, ideal_power(outer, n))
         target = ideal_power(outer, n + 1)
         # one containment suffices: inner·outer^n sits inside outer^(n+1)
-        if _inside_locally(step, target):
+        if _step_reaches(step, target):
             return ReductionVerdict(True, n, "direct", n_max, True)
     return ReductionVerdict(False, None, "direct", n_max, False)
+
+
+def _step_reaches(step, target):
+    # does target·R_m lie inside step·R_m?  A graded pair is compared in
+    # R, by the basis of step through the top degree of target
+    if not (step.is_homogeneous() and target.is_homogeneous()):
+        return _inside_locally(step, target)
+    top = max(map(total_degree, target.gens), default=0)
+    basis = buchberger(step.gens, DEFAULT_ORDER, _degree=top)
+    gb = GroebnerBasis(step.ring, DEFAULT_ORDER, basis)
+    return all(gb.contains(g) for g in target.gens)
 
 
 @dataclass(frozen=True)

@@ -182,10 +182,8 @@ def _run_filtration(session, task):
                 normalized_limit_estimate(table, d)
             )
         return out
-    pairs_arg = task.args[1]
-    pairs_arg = pairs_arg if isinstance(pairs_arg[0], tuple) else (pairs_arg,)
     pairs = [
-        (session.bindings[a], session.bindings[b]) for a, b in pairs_arg
+        (session.bindings[a], session.bindings[b]) for a, b in task.args[1]
     ]
     family = PowerFiltrationFamily(pairs, task.options.get("weights"))
     out = {"mode": "power"}

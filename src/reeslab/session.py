@@ -351,10 +351,13 @@ def _parse_task(cur, session_names, kinds):
                 wants_range = key in ("nrange", "mrange")
                 if wants_range and isinstance(value, int):
                     value = range(value, value + 1)
-                if wants_range != isinstance(value, range):
-                    cur.error(f"option {key} has the wrong shape", val_tok.column)
                 if key == "weights" and isinstance(value, int):
                     value = (value,)
+                shape = (
+                    range if wants_range else tuple if key == "weights" else int
+                )
+                if not isinstance(value, shape):
+                    cur.error(f"option {key} has the wrong shape", val_tok.column)
                 options[key] = value
             continue
         if options:

@@ -80,11 +80,19 @@ def test_budget_is_scoped_to_one_invocation(tmp_path, capsys, monkeypatch):
 
 
 def test_override_nmax():
-    session = parse_session(GOOD_SESSION)
+    session = parse_session(
+        GOOD_SESSION
+        + "task filtration power I:J\ntask filtration explicit I,J J,J\n"
+    )
     _override_nmax(session, 7)
     kinds = {t.kind: t for t in session.tasks}
     assert kinds["reduction"].options["nmax"] == 7
     assert "nmax" not in kinds["length"].options
+    power, explicit = session.tasks[-2:]
+    assert power.options["nmax"] == 7
+    # an explicit filtration admits no nmax, so none is written into it
+    assert "nmax" not in explicit.options
+    assert parse_session(session.canonical_text()) == session
 
 
 def test_run_ok(tmp_path, capsys):

@@ -703,13 +703,12 @@ def _record_caps(monkeypatch):
     return caps
 
 
-def test_truncated_basis_is_the_low_degree_part(monkeypatch):
+def test_truncated_basis_is_the_low_degree_part():
     # the basis through a cap against the full one, and membership read
-    # off it against normal forms by the full basis
+    # off the full basis against normal forms by the reference basis
     rng = random.Random(67)
     names = ("x", "y", "z", "w")
     fields = (RationalField(), PrimeField(32003))
-    caps = _record_caps(monkeypatch)
     for trial in range(36):
         nvars = 2 + trial % 3
         ring = PolyRing(names[:nvars], fields[trial // 3 % 2])
@@ -724,13 +723,8 @@ def test_truncated_basis_is_the_low_degree_part(monkeypatch):
         full = buchberger(gens)
         top = max(total_degree(g) for g in full)
         for cap in range(top + 2):
-            # a run that treats every pair before passing the cap returns
-            # the whole basis, as a plain list
             low = buchberger(gens, _degree=cap)
-            if isinstance(low, groebner_module._Truncated):
-                assert low == [g for g in full if total_degree(g) <= cap]
-            else:
-                assert low == full
+            assert low == [g for g in full if total_degree(g) <= cap]
         reference = GroebnerBasis(ring, GrevLex(), full)
         # members of every degree, near misses, and sums across degrees
         first, last = ring.gens()[0], ring.gens()[-1]
@@ -740,33 +734,27 @@ def test_truncated_basis_is_the_low_degree_part(monkeypatch):
         targets += [g + last ** (total_degree(g) + 1) for g in full[:2]]
         targets += [full[0] + full[-1], 1 + full[0]]
         targets = [f for f in targets if f]
-        homogeneous = sorted(
-            (f for f in targets if f.is_homogeneous()), key=total_degree
-        )
-        # one ideal answers in ascending degree, so each answer may grow
-        # the basis it reuses
-        growing = Ideal(ring, gens)
-        for f in homogeneous:
-            del caps[:]
-            assert Ideal(ring, gens).contains(f) == reference.contains(f)
-            assert caps == [total_degree(f)]
-            assert growing.contains(f) == reference.contains(f)
+        ideal = Ideal(ring, gens)
         for f in targets:
-            if not f.is_homogeneous():
-                del caps[:]
-                assert Ideal(ring, gens).contains(f) == reference.contains(f)
-                assert caps == [None]
+            assert ideal.contains(f) == reference.contains(f)
         for k in range(1, len(targets)):
             other = Ideal(ring, targets[k - 1 : k + 2])
             want = all(reference.contains(f) for f in other.gens)
-            assert Ideal(ring, gens).contains_ideal(other) == want
-            assert growing.contains_ideal(other) == want
-        assert growing.groebner().polys == tuple(full)
+            assert ideal.contains_ideal(other) == want
+        assert ideal.groebner().polys == tuple(full)
+
+
+def test_truncated_monomial_basis():
+    # monomial generators skip the S-pair loop and keep the cap too
+    u, v, w = R3.gens()
+    gens = [u**3, u * v, v**2 * w, w**4]
+    assert buchberger(gens, _degree=2) == [u * v]
+    assert buchberger(gens, _degree=3) == buchberger(gens)[:3]
 
 
 def test_truncation_keeps_to_homogeneous_ideals(monkeypatch):
-    # a non-homogeneous ideal answers from its full basis: y^2 lies in
-    # (x^2 + y, xy) only through an S-pair of degree 3
+    # membership reads the full basis of every ideal, homogeneous or not:
+    # y^2 lies in (x^2 + y, xy) only through an S-pair of degree 3
     caps = _record_caps(monkeypatch)
     for field in (RationalField(), PrimeField(32003)):
         ring = PolyRing(("x", "y"), field)
@@ -777,7 +765,9 @@ def test_truncation_keeps_to_homogeneous_ideals(monkeypatch):
         assert not a.contains(u**2)
         # a monomial ideal keeps its exact path
         assert Ideal(ring, (u**2, v**3)).contains(u * v**3)
-    assert caps == [None] * 4
+        # a homogeneous one answers a low-degree question in full
+        assert Ideal(ring, (u**2 - v**2, u * v**3)).contains(u**2 - v**2)
+    assert caps == [None] * 6
     # a homogeneous ideal is the unit ideal only with a constant generator
     del caps[:]
     assert not Ideal(R, (x**2 - y**2, x * y)).is_unit()

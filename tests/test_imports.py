@@ -8,7 +8,10 @@ module under `src/reeslab` and `tests` binds by `import` and
 A second scan collects the private names (one leading underscore) that
 each module of `src/reeslab` binds at top level, and fails on any that
 no top-level statement of `src/reeslab` other than its own definition
-reads, as a name or an attribute.
+reads, as a name or an attribute.  A third scan fails on any statement
+of `src/reeslab` that calls `_local_leads(...)` or `.groebner()` and
+discards the result: both are memoized, so such a call only builds a
+cache ahead of the call that reads it.
 """
 
 import ast
@@ -87,3 +90,26 @@ def test_no_orphaned_private_helpers():
         if not any(name in read for other, read in reads if other is not stmt)
     ]
     assert not orphans, "private names nothing reads:\n" + "\n".join(orphans)
+
+
+def _discarded_cache_builds(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)):
+            continue
+        func = node.value.func
+        if (isinstance(func, ast.Name) and func.id == "_local_leads") or (
+            isinstance(func, ast.Attribute) and func.attr == "groebner"
+        ):
+            found.append(node.lineno)
+    return found
+
+
+def test_no_discarded_cache_builds():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted((ROOT / "src/reeslab").glob("*.py"))
+        for line in _discarded_cache_builds(path)
+    ]
+    assert not found, "results discarded:\n" + "\n".join(found)

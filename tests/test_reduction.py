@@ -20,6 +20,7 @@ from reeslab import (
     depth_positive,
     grade_cm,
     ideal_equal,
+    ideal_power,
     ideal_sum,
     local_dimension,
     maximal_ideal,
@@ -28,9 +29,10 @@ from reeslab import (
     reduction_test,
     rees_criterion,
     rees_function,
+    total_degree,
     zero_ideal,
 )
-from reeslab import groebner
+from reeslab import groebner, reduction
 
 R = PolyRing(("x", "y"), RationalField())
 x, y = R.gens()
@@ -55,6 +57,42 @@ def test_reduction_found():
     assert v.reduction_number == 1
     assert v.certified is True
     assert v.method == "direct"
+
+
+def test_reduction_step_caps_its_basis(monkeypatch):
+    # a graded step builds the basis of inner·outer^n only through the
+    # top degree of outer^(n+1); the full basis costs about twice as much
+    # on the groebner-q benchmark
+    caps = []
+    run = reduction.buchberger
+
+    def recording(gens, order, budget=None, _degree=None, _reduced=0):
+        caps.append(_degree)
+        return run(gens, order, budget, _degree, _reduced)
+
+    monkeypatch.setattr(reduction, "buchberger", recording)
+    R3 = PolyRing(("x", "y", "z"), RationalField())
+    u, v, w = R3.gens()
+    for outer, inner, number in (
+        (SQUARE, Ideal(R, (x**2 + y**2, x * y)), 1),
+        (SQUARE, DIAG, 1),
+        (maximal_ideal(R3), Ideal(R3, (u - v, v + w, u + 2 * w)), 0),
+        (Ideal(R3, (u**2, u * v, v**2, w)), Ideal(R3, (u**2, v**2, w)), 1),
+    ):
+        del caps[:]
+        verdict = reduction_test(outer, inner)
+        assert verdict.reduction_number == number
+        tops = [
+            max(total_degree(g) for g in ideal_power(outer, n + 1).gens)
+            for n in range(number + 1)
+        ]
+        assert caps == tops
+    # a step that is not graded is decided by local leads, with no cap
+    del caps[:]
+    outer = Ideal(R, (x, y))
+    inner = Ideal(R, (x + y**2, y + x**2))
+    assert reduction_test(outer, inner).reduction_number == 0
+    assert caps == []
 
 
 def test_reduction_trivial_pair():

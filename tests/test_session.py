@@ -96,6 +96,9 @@ def test_empty_session():
         ("ring q[x]\nideal I = x\ntask spread I nmax=3", 3, "option"),
         ("ring q[x]\nideal I = x\ntask length I extra=1", 3, "option"),
         ("ring q[x]\nideal I = x\ntask mult I I nrange=5..2", 3, "range"),
+        ("ring q[x]\nideal I = x\ntask reduction I I nmax=1,2", 3, "shape"),
+        ("ring q[x]\nideal I = x\ntask rees I I window=3,4", 3, "shape"),
+        ("ring q[x]\nideal I = x\ntask filtration power I:I d=1,2", 3, "shape"),
     ],
 )
 def test_parse_errors(text, line, fragment):
