@@ -50,7 +50,10 @@ basis is unique, so it is the one the S-pair loop would return.
 degree, and products and powers of monomial ideals add exponents and
 minimalize once, with no polynomial arithmetic.  Products of other
 ideals multiply the integer coefficients of their generators, and
-`_interreduce_forms` takes one primitive form per product.
+`_interreduce_forms` takes one primitive form per product.  The
+Hilbert numerator of a monomial ideal, `_numerator`, is swept one
+variable at a time down to a closed form in two variables; its slices
+are minimalized by the same pass, unsorted.
 
 `buchberger`'s private `_degree` stops the S-pair loop of homogeneous
 generators at a degree D.  Their S-polynomials and remainders are
@@ -100,7 +103,6 @@ from .errors import ResourceBudgetError, RingMismatchError, ZeroPolynomialError
 from .ring import (
     DEFAULT_ORDER,
     BlockElimination,
-    Lex,
     PolyRing,
     Polynomial,
     PrimeField,
@@ -145,14 +147,9 @@ def _char(ring):
     return field.p if isinstance(field, PrimeField) else 0
 
 
-def minimal_exponents(exps, order=DEFAULT_ORDER):
-    """The minimal exponent tuples under divisibility, ascending in the order.
-
-    Duplicates collapse to one.  A proper divisor has lower total
-    degree, so one pass in ascending degree that keeps each tuple no
-    kept tuple of lower degree divides finds exactly the minimal ones;
-    only those are then sorted by the order.
-    """
+def _minimal(exps):
+    # the minimal tuples of exps under divisibility, duplicates collapsed,
+    # in ascending total degree
     kept = []
     same = []  # kept tuples of the current degree
     deg = -1
@@ -166,54 +163,90 @@ def minimal_exponents(exps, order=DEFAULT_ORDER):
                 break
         else:
             same.append(e)
-    kept += same
-    kept.sort(key=order.key)
-    return kept
+    return kept + same
 
 
-_LEX = Lex()
+def minimal_exponents(exps, order=DEFAULT_ORDER):
+    """The minimal exponent tuples under divisibility, ascending in the order.
+
+    Duplicates collapse to one.  A proper divisor has lower total
+    degree, so one pass in ascending degree that keeps each tuple no
+    kept tuple of lower degree divides finds exactly the minimal ones;
+    only those are then sorted by the order.
+    """
+    return sorted(_minimal(exps), key=order.key)
+
+
+def _add_shifted(num, part, shift, op=add):
+    # num = num op t^shift·part, in place, for op add or sub
+    end = shift + len(part)
+    if end > len(num):
+        num += [0] * (end - len(num))
+    num[shift:end] = map(op, num[shift:end], part)
 
 
 def _numerator(gens):
     """Numerator N of the Hilbert series N(t)/(1-t)^n of R/(x^g : g in gens).
 
     The exponent tuples in gens must be the minimal generators, such as
-    the leads of a reduced basis.  Coefficients from degree 0 up.  A
-    power p of the variable shared by the most generators splits the
-    ideal M by the exact sequence
-    0 -> R/(M:p)(-deg p) -> R/M -> R/(M+p) -> 0, so
-    N(M) = N(M+p) + t^deg(p)·N(M:p) (Bigatti, JPAA 119, 1997).  The
-    exponent of p is the median of that variable's distinct exponents
-    among generators with two or more variables, and both branches keep
-    at most half of those exponents; the depth is therefore bounded by
-    the number of variables times the log of the degree, whatever the
-    generator count.  Generators with pairwise disjoint supports end it.
+    the leads of a reduced basis.  Coefficients from degree 0 up; no
+    generator gives [1], the unit [0].
+
+    Up to two variables N is closed.  Sorted by ascending exponent of
+    x, minimal generators g_1, ..., g_r of a monomial ideal of k[x, y]
+    descend in y, and N = 1 - sum t^|g_i| + sum t^|lcm(g_i, g_i+1)|
+    (Miller-Sturmfels, Combinatorial Commutative Algebra, Prop. 3.1);
+    one variable leaves 1 - t^a.
+
+    More variables are swept one at a time (Bayer-Stillman,
+    "Computation of Hilbert functions", J. Symbolic Comput. 14, 1992).
+    Take the variable v with the fewest distinct exponents
+    0 = k_0 < ... < k_r.  The slice M_k = {m : m·v^k in M} is a monomial
+    ideal in the other n - 1 variables; it grows with k and is constant
+    from k_j up to k_j+1, so summing t^k over each run gives
+    N(M) = sum_j<r (t^k_j - t^k_j+1)·N(M_k_j) + t^k_r·N(M_k_r),
+    an empty slice having N = 1.  Each slice is the one before plus the
+    projections of the generators at the new exponent, minimalized.
+    The depth is at most n - 1, but the slices multiply: the work grows
+    with the product of the distinct exponents of the swept variables,
+    with no halving bound, which is cheap up to about six variables.
     """
-    # a pure power of x_i among the generators exceeds every mixed
-    # exponent of x_i, so plus below is minimal too:
-    # p divides none of the generators it keeps, and none of them
-    # divides p.
-    nvars = len(gens[0]) if gens else 0
-    shared = [sum(1 for g in gens if g[i]) for i in range(nvars)]
-    if max(shared, default=0) < 2:
-        num = [1]
+    if not gens:
+        return [1]
+    if len(gens[0]) <= 2:
+        gens = sorted(gens)
+        # the lcm degrees; each exceeds the degrees of its two generators
+        steps = [b[0] + a[1] for a, b in zip(gens, gens[1:])]
+        num = [0] * (max(steps, default=sum(gens[0])) + 1)
+        num[0] = 1
+        for d in steps:
+            num[d] += 1
         for g in gens:
-            d = sum(g)
-            shifted = [0] * d + num
-            num = [c - s for c, s in zip_longest(num, shifted, fillvalue=0)]
+            num[sum(g)] -= 1
         return num
-    i = shared.index(max(shared))
-    # x_i has at most one pure power, so it sits in a mixed generator
-    mixed = sorted({g[i] for g in gens if g[i] and sum(g) > g[i]})
-    e = mixed[len(mixed) // 2]
-    pivot = tuple(e if j == i else 0 for j in range(nvars))
-    plus = [g for g in gens if g[i] < e] + [pivot]
-    colon_exps = [g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens]
-    # the numerator ignores generator order, and lex keys cost least
-    shifted = [0] * e + _numerator(minimal_exponents(colon_exps, _LEX))
-    return [
-        c + s for c, s in zip_longest(_numerator(plus), shifted, fillvalue=0)
-    ]
+    distinct = [len({0} | {g[i] for g in gens}) for i in range(len(gens[0]))]
+    v = distinct.index(min(distinct))
+    levels = {}
+    for g in gens:
+        levels.setdefault(g[v], []).append(g[:v] + g[v + 1:])
+    num = [0]
+    part = [1]  # N of the slice, empty below the least exponent
+    start = 0
+    sliced = []
+    for k in sorted(levels):
+        grown = _minimal(sliced + levels[k])
+        if grown == sliced:
+            continue  # the slice, and so its run, goes on
+        if k:
+            _add_shifted(num, part, start)
+            _add_shifted(num, part, k, sub)
+        sliced = grown
+        part = _numerator(sliced)
+        start = k
+    _add_shifted(num, part, start)
+    while len(num) > 1 and not num[-1]:
+        num.pop()
+    return num
 
 
 def _monomial_exps(polys):

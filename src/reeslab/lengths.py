@@ -26,6 +26,8 @@ of all zeros means a contains a unit of R_m: its colength is 0.  The
 same leads decide containment in R_m (`_inside_locally`): b·R_m lies
 inside a·R_m exactly when a and a + b have the same local leads.  All
 values are exact integers; anything not certifiably finite raises.
+groebner._numerator computes each N by sweeping one variable at a time
+down to a closed form in two variables.
 """
 
 from __future__ import annotations

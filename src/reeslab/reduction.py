@@ -105,11 +105,14 @@ def reduction_test(outer, inner, n_max=10):
     """Search for the least n with inner·outer^n = outer^(n+1).
 
     A hit is a proof; exhausting n_max alone is not, and is reported
-    with certified=False.
+    with certified=False.  The zero ideal reduces no nonzero ideal:
+    R_m is a domain, so 0·outer^n = 0 never reaches outer^(n+1).
     """
     _require_containment(outer, inner)
     if n_max < 0:
         raise PreconditionError("n_max must be nonnegative")
+    if inner.is_zero and not outer.is_zero:
+        return ReductionVerdict(False, None, "direct", n_max, True)
     for n in range(n_max + 1):
         step = ideal_product(inner, ideal_power(outer, n))
         target = ideal_power(outer, n + 1)

@@ -1,7 +1,9 @@
 """Length certification, staircase counting, and the reference sampler."""
 
+import importlib.util
 import random
-from itertools import accumulate
+from itertools import accumulate, zip_longest
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,7 @@ R = PolyRing(("x", "y"), RationalField())
 x, y = R.gens()
 R3 = PolyRing(("x", "y", "z"), RationalField())
 x3, y3, z3 = R3.gens()
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_colength_frozen():
@@ -96,8 +99,8 @@ def test_staircase_histogram_matches_enumeration():
 
 
 def test_numerator_depth_independent_of_generator_count(monkeypatch):
-    # m^30 in three variables has 496 generators; each split halves the
-    # exponents left to one variable, so the depth is logarithmic
+    # m^30 in three variables has 496 generators; each slice of the
+    # sweep drops one variable, so the depth is at most nvars
     from oracle import degree_tuples
 
     inner = groebner._numerator
@@ -114,7 +117,114 @@ def test_numerator_depth_independent_of_generator_count(monkeypatch):
     monkeypatch.setattr(groebner, "_numerator", counted)
     hist = _staircase_histogram(degree_tuples(3, 30), 3, 32)
     assert hist == [(d + 1) * (d + 2) // 2 for d in range(30)] + [0] * 3
-    assert depth[1] <= 3 * (30).bit_length() + 1
+    assert depth[1] <= 3 + 1
+
+
+def _strip(num):
+    # a numerator without trailing zero coefficients; the zero one is [0]
+    num = list(num)
+    while len(num) > 1 and not num[-1]:
+        num.pop()
+    return num
+
+
+def _counted_numerator(exps, nvars):
+    # count the monomials outside the ideal in each degree up to
+    # D = sum_i max_j g_j[i], which bounds deg N (every lcm of
+    # generators divides the lcm of all), and multiply by (1-t)^nvars
+    from oracle import degree_tuples, member
+
+    top = sum(max((g[i] for g in exps), default=0) for i in range(nvars))
+    num = [
+        sum(1 for e in degree_tuples(nvars, d) if not member(e, exps))
+        for d in range(top + 1)
+    ]
+    for _ in range(nvars):
+        num = [c - p for c, p in zip(num, [0] + num)]
+    return _strip(num)
+
+
+def _pivot_numerator(gens):
+    # the median-pivot recursion N(M) = N(M + p) + t^deg(p)·N(M : p) for
+    # a power p of the variable shared by the most generators (Bigatti,
+    # JPAA 119, 1997), kept as an independent reference
+    nvars = len(gens[0]) if gens else 0
+    shared = [sum(1 for g in gens if g[i]) for i in range(nvars)]
+    if max(shared, default=0) < 2:
+        num = [1]
+        for g in gens:
+            shifted = [0] * sum(g) + num
+            num = [c - s for c, s in zip_longest(num, shifted, fillvalue=0)]
+        return num
+    i = shared.index(max(shared))
+    mixed = sorted({g[i] for g in gens if g[i] and sum(g) > g[i]})
+    e = mixed[len(mixed) // 2]
+    pivot = tuple(e if j == i else 0 for j in range(nvars))
+    plus = [g for g in gens if g[i] < e] + [pivot]
+    colon_exps = [g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens]
+    shifted = [0] * e + _pivot_numerator(minimalize(colon_exps))
+    return [
+        c + s
+        for c, s in zip_longest(_pivot_numerator(plus), shifted, fillvalue=0)
+    ]
+
+
+def test_numerator_matches_counting():
+    cases = [
+        ([], 3),
+        ([(0, 0, 0)], 3),
+        ([(0,)], 1),
+        ([(5,)], 1),
+        ([(1, 0), (0, 1)], 2),
+        ([(2, 0, 0), (0, 3, 0), (0, 0, 4)], 3),
+        ([(3, 0, 0, 0), (0, 0, 0, 2)], 4),
+        # eight variables, exponents at most 2
+        (
+            [
+                (2, 0, 0, 0, 0, 0, 0, 0),
+                (0, 1, 1, 0, 0, 0, 0, 0),
+                (0, 0, 2, 1, 0, 0, 0, 0),
+                (0, 0, 0, 1, 1, 1, 0, 0),
+                (0, 0, 0, 0, 0, 1, 2, 0),
+                (0, 0, 0, 0, 0, 0, 1, 1),
+                (1, 0, 0, 0, 0, 0, 0, 1),
+                (0, 1, 0, 0, 1, 0, 1, 0),
+            ],
+            8,
+        ),
+    ]
+    rng = random.Random(151)
+    for nvars in (2, 3, 4, 5):
+        for _ in range(12):
+            cases.append((random_exps(rng, nvars, 6, 4), nvars))
+    for exps, nvars in cases:
+        assert groebner._numerator(exps) == _counted_numerator(exps, nvars)
+
+
+def test_numerator_matches_pivot_recursion():
+    from oracle import degree_tuples
+
+    cases = [degree_tuples(3, 30), degree_tuples(4, 6)]
+    rng = random.Random(157)
+    for nvars in (4, 5, 6):
+        for _ in range(15):
+            cases.append(random_exps(rng, nvars, 12, 6))
+    # the powers of the monomial pairs the rees-monomial bench replays
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    rings = {2: R, 3: R3}
+    for _, nvars, ae, be in bench.rees_catalogue():
+        for exps in (ae, be):
+            a = exps_to_ideal(rings[nvars], exps)
+            for n in range(1, 7):
+                cases.append(ideal_power(a, n).groebner().lead_exps)
+    for exps in cases:
+        assert _strip(groebner._numerator(exps)) == _strip(
+            _pivot_numerator(exps)
+        )
 
 
 def test_subquotient_frozen():

@@ -183,3 +183,24 @@ def test_zero_outer_ideal_is_a_typed_refusal():
         assert record["error"]["type"] == "PreconditionError"
         assert "outer ideal" in record["error"]["message"]
     jsonschema.validate(report, REPORT_SCHEMA)
+
+
+def test_zero_candidate_is_a_certified_non_reduction():
+    # zero reduces no nonzero ideal of the domain R_m; the verdict is
+    # certified before any search, and zero does reduce zero
+    text = (
+        "ring q[x,y]\n"
+        "ideal I = x^2, y\n"
+        "ideal Z = 0\n"
+        "task reduction I Z nmax=3\n"
+        "task reduction Z Z nmax=3\n"
+    )
+    report = run_session(parse_session(text))
+    jsonschema.validate(report, REPORT_SCHEMA)
+    refuted, trivial = report["tasks"]
+    assert refuted["status"] == "ok"
+    assert refuted["is_reduction"] is False
+    assert refuted["reduction_number"] is None
+    assert refuted["certified"] is True
+    assert trivial["is_reduction"] is True
+    assert trivial["reduction_number"] == 0
