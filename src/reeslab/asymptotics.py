@@ -7,7 +7,9 @@ coefficient).  Fits are reported in the alternating binomial basis
     e0·C(n+t-1, t) - e1·C(n+t-2, t-1) + ... ± e_t,
 
 the convention under which integer-valued tables carry integer top
-coefficients and the normalized leading coefficient is just e0.
+coefficients and the normalized leading coefficient is just e0.  The
+coefficients e_i = (-1)^i·(Δ^(t-i) P)(i - t) and the index where the
+table starts to agree with P are read off its difference table.
 """
 
 from __future__ import annotations
@@ -26,41 +28,6 @@ def _binom_value(m, j):
     for i in range(j):
         num *= m - i
     return Fraction(num, math.factorial(j))
-
-
-def _mul_linear(poly, shift):
-    # multiply a power-basis polynomial by (n + shift)
-    out = [Fraction(0)] * (len(poly) + 1)
-    for i, c in enumerate(poly):
-        out[i] += shift * c
-        out[i + 1] += c
-    return out
-
-
-def _binom_power_basis(n0, j):
-    # C(n - n0, j) expanded in powers of n
-    poly = [Fraction(1)]
-    for i in range(j):
-        poly = _mul_linear(poly, Fraction(-(n0 + i)))
-    scale = Fraction(1, math.factorial(j))
-    return [c * scale for c in poly]
-
-
-def _power_to_binomial(power, t):
-    # triangular change of basis into the alternating binomial form
-    rem = list(power) + [Fraction(0)] * (t + 1 - len(power))
-    out = []
-    for i in range(t + 1):
-        j = t - i
-        base = _binom_power_basis(i - t + 1, j)
-        sign = 1 if i % 2 == 0 else -1
-        e = rem[j] * math.factorial(j) * sign
-        out.append(e)
-        for idx in range(j + 1):
-            rem[idx] -= sign * e * base[idx]
-    if any(c != 0 for c in rem):
-        raise AssertionError("binomial-basis conversion left a residue")
-    return out
 
 
 @dataclass(frozen=True)
@@ -94,10 +61,15 @@ class EventualPolynomial:
 def fit_eventual_polynomial(values, start=1, window=3):
     """Fit the eventual polynomial of a table of exact values.
 
-    The difference rows are scanned until one is constant across the
-    trailing window; Newton reconstruction anchored there is extended
-    backwards as far as the samples still agree.  A table whose trailing
-    behaviour is not yet polynomial raises NotStabilizedError.
+    The difference rows are scanned until one, row d, is constant
+    across the trailing window; the degree is d.  The table agrees with
+    the fit from the least a where row d is that constant throughout,
+    since the d-th difference at a - 1 fixes the sample there from the
+    d after it.  The Newton coefficients c_k = rows[k][a] give
+    (Δ^j P)(n) = Σ_{k>=j} c_k·C(n - start - a, k - j), hence
+    e_i = (-1)^i·(Δ^(d-i) P)(i - d): Δ^(d-i) takes C(n+d-1-k, d-k) to
+    C(n+d-1-k, i-k), which is 1 at n = i - d for k = i and 0 otherwise.
+    A table not yet polynomial at its end raises NotStabilizedError.
     """
     if window < 3:
         raise ValueError("window must be at least 3")
@@ -126,24 +98,16 @@ def fit_eventual_polynomial(values, start=1, window=3):
         while a > 0 and vals[a - 1] == 0:
             a -= 1
         return EventualPolynomial((), NEG_INF, start + a, window)
-    anchor = len(rows[d]) - window
-    n0 = start + anchor
-    power = [Fraction(0)] * (d + 1)
-    for j in range(d + 1):
-        c = rows[j][anchor]
-        if c == 0:
-            continue
-        for idx, pc in enumerate(_binom_power_basis(n0, j)):
-            power[idx] += c * pc
-    while len(power) > 1 and power[-1] == 0:
-        power.pop()
-    t = len(power) - 1
-    coeffs = tuple(_power_to_binomial(power, t))
-    fit = EventualPolynomial(coeffs, t, start + anchor, window)
-    a = anchor
-    while a > 0 and fit.evaluate(start + a - 1) == vals[a - 1]:
+    a = len(rows[d]) - window
+    while a > 0 and rows[d][a - 1] == const:
         a -= 1
-    if a == anchor:
-        return fit
-    return EventualPolynomial(coeffs, t, start + a, window)
-
+    n0 = start + a
+    coeffs = tuple(
+        (-1) ** i
+        * sum(
+            rows[k][a] * _binom_value(i - d - n0, k - d + i)
+            for k in range(d - i, d + 1)
+        )
+        for i in range(d + 1)
+    )
+    return EventualPolynomial(coeffs, d, n0, window)

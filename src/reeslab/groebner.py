@@ -1091,7 +1091,13 @@ def eliminate(a, drop):
 
 
 def radical_membership(f, a):
-    """Is f in the radical of a (inverse-variable trick, ideal reaches 1)?"""
+    """Is f in the radical of a·R_m?
+
+    Exactly when a : f^∞ ⊄ m, that is, when some generator of
+    (a + (1 - z·f)) ∩ k[x] has a nonzero constant term.  A homogeneous a
+    has its associated primes inside m, so there the global radical
+    answers: a + (1 - z·f) reaches 1.
+    """
     ring = a.ring
     if isinstance(f, (int, Fraction)):
         f = ring.const(f)
@@ -1107,5 +1113,9 @@ def radical_membership(f, a):
     z = ext.var(zname)
     gens = [_lift(g, ext, 0, n) for g in a.gens]
     gens.append(ext.one - z * _lift(f, ext, 0, n))
-    gb = buchberger(gens, DEFAULT_ORDER)
-    return bool(gb) and total_degree(gb[0]) == 0
+    if a.is_homogeneous():
+        gb = buchberger(gens, DEFAULT_ORDER)
+        return bool(gb) and total_degree(gb[0]) == 0
+    origin = (0,) * n
+    saturation = eliminate(Ideal(ext, gens), [zname])
+    return any(origin in g.terms for g in saturation.gens)

@@ -21,12 +21,13 @@ from .errors import (
     NotStabilizedError,
     PreconditionError,
 )
-from .groebner import Ideal, ideal_power, radical_membership
+from .groebner import Ideal, ideal_power, ideal_product, radical_membership
 from .lengths import (
     FunctionTable,
     _is_local_unit,
     _local_leads,
     _split_pole,
+    maximal_ideal,
     subquotient_length,
 )
 from .reduction import (
@@ -154,6 +155,12 @@ def _verdicts(outer, inner, t, efit, stable_from):
     dim = ring.dim
     spread = analytic_spread(inner)
     grade = grade_cm(inner)
+    # the minimal number of generators of inner·R_m: λ(J/mJ) by Nakayama
+    mu = subquotient_length(
+        inner,
+        ideal_product(maximal_ideal(ring), inner),
+        check_containment=False,
+    )
     deg = -1 if efit.is_zero else efit.degree
     red, red_known = _reduction_status(outer, inner)
     hypotheses["reduction_status_known"] = (
@@ -161,7 +168,7 @@ def _verdicts(outer, inner, t, efit, stable_from):
     )
 
     # complete-intersection count: degree drops exactly on reduction
-    if grade == len(inner.gens):
+    if grade == mu:
         hypotheses["complete_intersection"] = "verified"
         if not red_known:
             verdicts["ci_degree"] = "inconclusive"
@@ -212,7 +219,7 @@ def _verdicts(outer, inner, t, efit, stable_from):
 
     # a principal ideal has no embedded components here, so when the
     # radicals genuinely differ the growth tracks its height
-    if len(inner.gens) == 1:
+    if mu == 1:
         hypotheses["principal_unmixed"] = "verified"
         separated = any(
             not radical_membership(g, inner) for g in outer.gens

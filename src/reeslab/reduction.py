@@ -11,11 +11,11 @@ Containments, the steps of the reduction search, and the colon
 comparisons of the d-sequence and depth tests are decided in R_m
 (lengths._inside_locally); colons commute with localization.  A graded
 step reads the basis of inner·outer^n only through the top degree of
-outer^(n+1).  The colon chain of radical_colon_stability and its
-radicals are still global.  Verdicts distinguish a witnessed fact from
-an exhausted search: a direct reduction search that merely ran out of
-exponents is upgraded to a certified negative only when the degree
-criterion concurs.
+outer^(n+1).  The colon chain of radical_colon_stability is taken in
+R, and its radicals are compared in R_m.  Verdicts distinguish a
+witnessed fact from an exhausted search: a direct reduction search that
+merely ran out of exponents is upgraded to a certified negative only
+when the degree criterion concurs.
 """
 
 from __future__ import annotations

@@ -85,17 +85,30 @@ def test_exact_from_first_sample_walks_back():
 
 
 def test_random_round_trip():
+    # exact tables, perturbed heads and shifted starts: the fit starts at
+    # the least index from which it reproduces every sample
     rng = random.Random(202)
     for _ in range(60):
         t = rng.randrange(0, 5)
         coeffs = [rng.randrange(1, 6)]
         coeffs += [rng.randrange(-4, 5) for _ in range(t)]
-        vals = tuple(eval_binomial(coeffs, t, n) for n in range(1, 13))
-        fit = fit_eventual_polynomial(vals, start=1)
+        start = rng.randrange(-2, 4)
+        ns = range(start, start + 12)
+        vals = [eval_binomial(coeffs, t, n) for n in ns]
+        for i in range(rng.randrange(0, 4)):
+            vals[i] += rng.randrange(-3, 4)
+        fit = fit_eventual_polynomial(vals, start=start)
         assert fit.degree == t
         assert fit.binomial_coeffs == tuple(Fraction(c) for c in coeffs)
-        for n in range(1, 13):
-            assert fit.evaluate(n) == vals[n - 1]
+        agree = [
+            eval_binomial(fit.binomial_coeffs, t, n) == v
+            for n, v in zip(ns, vals)
+        ]
+        a = fit.stabilization_index - start
+        assert all(agree[a:])
+        assert a == 0 or not agree[a - 1]
+        for n, v in zip(ns[a:], vals[a:]):
+            assert fit.evaluate(n) == v
 
 
 def test_prefix_drop_invariance():

@@ -624,6 +624,9 @@ def test_radical_membership():
     assert not radical_membership(y, a)
     assert radical_membership(x + y, Ideal(R, (x, y**3)))
     assert not radical_membership(x + y, Ideal(R, (x**3 * y**3,)))
+    # the radical of a·R_m: (x^2 - x)·R_m = (x), since x - 1 is a unit
+    assert radical_membership(x, Ideal(R, (x**2 - x,)))
+    assert not radical_membership(x - 1, Ideal(R, (x**2 - x,)))
 
 
 def test_interreduce_monomial_and_general():

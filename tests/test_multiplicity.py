@@ -25,11 +25,13 @@ from reeslab import (
     fit_eventual_polynomial,
     ideal_equal,
     ideal_power,
+    ideal_product,
     maximal_ideal,
     module_multiplicity,
     multiplicity_function,
     radical_colon_stability,
     rees_function,
+    subquotient_length,
 )
 from reeslab import multiplicity
 
@@ -58,14 +60,24 @@ def test_point_support_matches_length():
 
 
 def test_square_pair_report():
-    rep = multiplicity_function(SQUARE, DIAG)
-    assert rep.r == 1
-    assert rep.t == 0
-    assert rep.e_table.values == (1, 2, 3, 4, 5)
-    assert rep.e_fit.degree == 1
-    assert rep.verdicts["ci_degree"] == "verified"
-    assert rep.hypotheses["complete_intersection"] == "verified"
-    assert rep.hypotheses["reduction_status_known"] == "verified"
+    # (x^2, y^2) also written with a redundant generator, and with unit
+    # factors: the complete-intersection count reads the minimal number
+    # of generators of J·R_m, not the presentation
+    m = maximal_ideal(R)
+    for inner in (
+        DIAG,
+        Ideal(R, (x**2, y**2, x**2 + y**2)),
+        Ideal(R, (x**2 - x**3, y**2, y**2 + x * y**2)),
+    ):
+        assert subquotient_length(inner, ideal_product(m, inner)) == 2
+        rep = multiplicity_function(SQUARE, inner)
+        assert rep.r == 1
+        assert rep.t == 0
+        assert rep.e_table.values == (1, 2, 3, 4, 5)
+        assert rep.e_fit.degree == 1
+        assert rep.verdicts["ci_degree"] == "verified"
+        assert rep.hypotheses["complete_intersection"] == "verified"
+        assert rep.hypotheses["reduction_status_known"] == "verified"
 
 
 def test_curve_support_multiplicity():

@@ -204,3 +204,27 @@ def test_zero_candidate_is_a_certified_non_reduction():
     assert refuted["certified"] is True
     assert trivial["is_reduction"] is True
     assert trivial["reduction_number"] == 0
+
+
+def test_locally_equal_pairs_read_the_same_verdicts():
+    # (y) ⊃ (xy^2 - y^2) is (y) ⊃ (y^2) in R_m, since x - 1 is a unit
+    # there: the radicals behind radcolon and mult are read locally
+    records = []
+    for inner in ("x*y^2 - y^2", "y^2"):
+        text = (
+            "ring q[x,y]\n"
+            "ideal I = y\n"
+            f"ideal J = {inner}\n"
+            "task radcolon I J nmax=3\n"
+            "task mult I J\n"
+        )
+        report = run_session(parse_session(text))
+        jsonschema.validate(report, REPORT_SCHEMA)
+        records.append(report["tasks"])
+    (rad, mult), (rad2, mult2) = records
+    for key in ("stable_from", "radical_is_maximal"):
+        assert rad[key] == rad2[key]
+    assert mult["verdicts"] == mult2["verdicts"]
+    assert mult["hypotheses"] == mult2["hypotheses"]
+    assert mult["hypotheses"]["radical_strictly_larger"] == "failed"
+    assert mult["verdicts"]["height_separation"] == "not_applicable"
