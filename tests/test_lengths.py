@@ -83,6 +83,21 @@ def _staircase_histogram(exps, nvars, max_degree):
     return hist
 
 
+def test_staircase_histogram_matches_enumeration():
+    from oracle import degree_tuples, member
+
+    rng = random.Random(41)
+    for _ in range(15):
+        nvars = rng.choice([2, 3])
+        exps = random_exps(rng, nvars, 3, 4)
+        hist = _staircase_histogram(tuple(exps), nvars, 6)
+        for d in range(7):
+            want = sum(
+                1 for e in degree_tuples(nvars, d) if not member(e, exps)
+            )
+            assert hist[d] == want
+
+
 def test_numerator_depth_independent_of_generator_count(monkeypatch):
     # m^30 in three variables has 496 generators; each slice of the
     # sweep drops one variable, so the depth is at most nvars
