@@ -1094,9 +1094,7 @@ def radical_membership(f, a):
     """Is f in the radical of a·R_m?
 
     Exactly when a : f^∞ ⊄ m, that is, when some generator of
-    (a + (1 - z·f)) ∩ k[x] has a nonzero constant term.  A homogeneous a
-    has its associated primes inside m, so there the global radical
-    answers: a + (1 - z·f) reaches 1.
+    (a + (1 - z·f)) ∩ k[x] = a : f^∞ has a nonzero constant term.
     """
     ring = a.ring
     if isinstance(f, (int, Fraction)):
@@ -1113,9 +1111,6 @@ def radical_membership(f, a):
     z = ext.var(zname)
     gens = [_lift(g, ext, 0, n) for g in a.gens]
     gens.append(ext.one - z * _lift(f, ext, 0, n))
-    if a.is_homogeneous():
-        gb = buchberger(gens, DEFAULT_ORDER)
-        return bool(gb) and total_degree(gb[0]) == 0
     origin = (0,) * n
-    saturation = eliminate(Ideal(ext, gens), [zname])
-    return any(origin in g.terms for g in saturation.gens)
+    sat = eliminate(Ideal(ext, gens), [zname])
+    return any(origin in g.terms for g in sat.gens)
