@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
+from .runner import run_session
 from .session import parse_session
 
 CORPUS = {
@@ -151,8 +152,6 @@ def run_corpus(filter_tag=None, perturb=None):
     check needs are not run.  perturb maps check names to replacement
     expectations, for the self-test that a wrong value is caught.
     """
-    from .runner import run_session
-
     checks = [
         c for c in CHECKS if filter_tag is None or filter_tag in c.tags
     ]

@@ -122,12 +122,11 @@ def normalized_limit_estimate(table, d):
         Fraction(v, m**d) for m, v in zip(table.args(), table.values)
     )
     fit = fit_eventual_polynomial(table.values, table.start)
-    degree = -1 if fit.is_zero else fit.degree
-    if degree > d:
+    if fit.degree > d:
         raise PreconditionError(
-            f"table grows at degree {degree}, above the target {d}"
+            f"table grows at degree {fit.degree}, above the target {d}"
         )
-    verdict = "VANISHES" if degree < d else "GROWS"
+    verdict = "VANISHES" if fit.degree < d else "GROWS"
     return NormalizedLimit(values, verdict, d, fit)
 
 
@@ -186,8 +185,7 @@ class ExplicitFiltration:
                 )
         for i in range(1, len(levels) + 1):
             for j in range(i, len(levels) - i + 1):
-                left, right = levels[i - 1].gens, levels[j - 1].gens
-                products = Ideal(ring, [g * h for g in left for h in right])
+                products = ideal_product(levels[i - 1], levels[j - 1])
                 if not _inside_locally(levels[i + j - 1], products):
                     raise ContainmentError(
                         f"levels {i} and {j} do not multiply "

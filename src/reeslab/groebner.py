@@ -234,13 +234,10 @@ def _numerator(gens):
     start = 0
     sliced = []
     for k in sorted(levels):
-        grown = _minimal(sliced + levels[k])
-        if grown == sliced:
-            continue  # the slice, and so its run, goes on
         if k:
             _add_shifted(num, part, start)
             _add_shifted(num, part, k, sub)
-        sliced = grown
+        sliced = _minimal(sliced + levels[k])
         part = _numerator(sliced)
         start = k
     _add_shifted(num, part, start)
@@ -775,7 +772,6 @@ class Ideal:
 
     def __init__(self, ring, gens=()):
         polys = []
-        seen = set()
         for g in gens:
             if isinstance(g, (int, Fraction)):
                 g = ring.const(g)
@@ -783,12 +779,11 @@ class Ideal:
                 raise TypeError(f"cannot use {g!r} as an ideal generator")
             if g.ring != ring:
                 raise RingMismatchError(f"{ring!r} vs {g.ring!r}")
-            if g.is_zero or g in seen:
-                continue
-            seen.add(g)
-            polys.append(g)
+            if not g.is_zero:
+                polys.append(g)
         self.ring = ring
-        self.gens = tuple(polys)
+        # the first of equal generators is kept; each is hashed once
+        self.gens = tuple(dict.fromkeys(polys))
         self._gb = {}
         self._cache = {}
 

@@ -2,12 +2,10 @@
 
 The annihilator of outer^n/inner^n stabilizes in radical; its locus
 dimension t at the origin fixes which normalized coefficient of the
-inner truncation function counts.  At t = 0 the quotient has finite
-length in R_m and the multiplicity is that length itself; the
-statement that the inner function is eventually this constant is
-exactly the degree-zero case of the fit.  For t > 0 the multiplicity
+inner truncation function counts.  Every multiplicity, t = 0 included,
 is read off the Hilbert numerators of the local leads of the two
-powers, with no sampling, for every input.
+powers, with no sampling, for every input: at t = 0 the quotient has
+finite length in R_m and the value is that length.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from .errors import (
 from .groebner import Ideal, ideal_power, ideal_product, radical_membership
 from .lengths import (
     FunctionTable,
-    _is_local_unit,
     _local_leads,
     _split_pole,
     maximal_ideal,
@@ -36,7 +33,6 @@ from .reduction import (
     analytic_spread,
     depth_positive,
     grade_cm,
-    local_dimension,
     radical_colon_stability,
     reduction_test,
     rees_criterion,
@@ -47,27 +43,22 @@ def module_multiplicity(outer, inner, n, t):
     """Multiplicity of outer^n/inner^n against dimension t.
 
     It is the normalized coefficient at degree t of the inner function
-    k -> length of M/m^k·M, M = outer^n/inner^n.  For t = 0 that function
-    is eventually the certified finite length of M, which is returned.
-    For t > 0 it is read off the Hilbert numerators of the local
-    leads: with N_{inner^n} - N_{outer^n} = (1-s)^c·Q in r variables,
-    M has dimension r - c.  Write big = outer^n, small = inner^n; the
-    numerators count k -> length of big/(small + big ∩ m^k), and by
-    Artin-Rees m^k·big ⊆ big ∩ m^k ⊆ m^(k-c0)·big for a fixed c0.  So
-    the inner function and the Hilbert sums of M share their degree and
-    leading coefficient: the value is Q(1) when r - c = t and 0 below
-    (Bruns-Herzog, Cohen-Macaulay Rings, ch. 4).
+    k -> length of M/m^k·M, M = outer^n/inner^n, read off the Hilbert
+    numerators of the local leads: with N_{inner^n} - N_{outer^n} =
+    (1-s)^c·Q in r variables, M has dimension r - c.  Write
+    big = outer^n, small = inner^n; the numerators count
+    k -> length of big/(small + big ∩ m^k), and by Artin-Rees
+    m^k·big ⊆ big ∩ m^k ⊆ m^(k-c0)·big for a fixed c0.  So the inner
+    function and the Hilbert sums of M share their degree and leading
+    coefficient: the value is Q(1) when r - c = t and 0 below
+    (Bruns-Herzog, Cohen-Macaulay Rings, ch. 4).  At t = 0 the same
+    split gives the finite length of M, the eventual value of the inner
+    function.  A module of dimension above t is refused.
     """
     _require_containment(outer, inner)
     if t < 0:
         raise PreconditionError("dimension must be nonnegative")
-    big = ideal_power(outer, n)
-    small = ideal_power(inner, n)
-    if t == 0:
-        return Fraction(
-            subquotient_length(big, small, check_containment=False)
-        )
-    c, q = _split_pole(small, big)
+    c, q = _split_pole(ideal_power(inner, n), ideal_power(outer, n))
     dim = outer.ring.nvars - c
     if dim > t:
         raise PreconditionError(
@@ -98,7 +89,7 @@ def multiplicity_function(outer, inner, n_range=None, stab_n_max=3, window=3):
     _require_containment(outer, inner)
     stab = radical_colon_stability(outer, inner, stab_n_max)
     proxy, r = stab.proxy, stab.stable_from
-    t = 0 if _is_local_unit(proxy) else local_dimension(proxy)
+    t = outer.ring.nvars - _split_pole(proxy)[0]
     ns = _as_consecutive(range(r, r + 5) if n_range is None else n_range)
     if ns[0] < r:
         raise PreconditionError(
@@ -115,7 +106,7 @@ def multiplicity_function(outer, inner, n_range=None, stab_n_max=3, window=3):
     table = FunctionTable(ns[0], tuple(values))
     fit = fit_eventual_polynomial(table.values, table.start, window)
     dim = outer.ring.dim
-    if not fit.is_zero and fit.degree > dim - t:
+    if fit.degree > dim - t:
         raise PreconditionError(
             "multiplicity growth exceeds dim R - t; internal error"
         )
@@ -161,7 +152,7 @@ def _verdicts(outer, inner, t, efit, stable_from):
         ideal_product(maximal_ideal(ring), inner),
         check_containment=False,
     )
-    deg = -1 if efit.is_zero else efit.degree
+    deg = efit.degree
     red, red_known = _reduction_status(outer, inner)
     hypotheses["reduction_status_known"] = (
         "verified" if red_known else "failed"

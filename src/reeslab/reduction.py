@@ -13,9 +13,9 @@ comparisons of the d-sequence and depth tests are decided in R_m
 step reads the basis of inner·outer^n only through the top degree of
 outer^(n+1).  The colon chain of radical_colon_stability is taken in
 R, and its radicals are compared in R_m.  Verdicts distinguish a
-witnessed fact from an exhausted search: a direct reduction search that
-merely ran out of exponents is upgraded to a certified negative only
-when the degree criterion concurs.
+witnessed fact from an exhausted search: reduction_test reports a
+search that merely ran out of exponents as uncertified, and
+multiplicity._reduction_status then consults the degree criterion.
 """
 
 from __future__ import annotations
@@ -145,7 +145,8 @@ def rees_criterion(outer, inner, n_range=range(1, 9), window=3):
     """Degree of the power-quotient length against the ring dimension.
 
     A fitted degree strictly below dim R certifies reduction; degree
-    equal to dim R certifies the opposite.
+    equal to dim R certifies the opposite.  The zero fit's degree,
+    NEG_INF, lies below every integer.
     """
     table = rees_function(outer, inner, n_range)
     try:
@@ -153,14 +154,12 @@ def rees_criterion(outer, inner, n_range=range(1, 9), window=3):
     except NotStabilizedError as exc:
         raise NotStabilizedError(f"{exc}; extend n_range") from exc
     d = outer.ring.dim
-    if not fit.is_zero and fit.degree > d:
+    if fit.degree > d:
         raise PreconditionError(
             "power-quotient growth exceeds the ring dimension"
         )
-    reduction = fit.is_zero or fit.degree <= d - 1
-    return CriterionReport(
-        "REDUCTION" if reduction else "NOT_REDUCTION", table, fit, d
-    )
+    verdict = "REDUCTION" if fit.degree <= d - 1 else "NOT_REDUCTION"
+    return CriterionReport(verdict, table, fit, d)
 
 
 def local_dimension(a):
@@ -319,5 +318,6 @@ def radical_colon_stability(outer, inner, n_max=3):
 
 def radical_contains_variables(a):
     """Does the radical of a·R_m reach the maximal ideal (empty punctured
-    locus)?  Exactly when a holds a local unit or R_m/a has dimension 0."""
-    return _is_local_unit(a) or local_dimension(a) == 0
+    locus)?  Exactly when R_m/a has dimension 0, that is finite colength;
+    a local unit has numerator 0, which splits off every power."""
+    return _split_pole(a)[0] == a.ring.nvars

@@ -268,12 +268,11 @@ class PolyRing:
 class Polynomial:
     """Immutable sparse polynomial; do not mutate `terms` after construction."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
-        self._hash = None
 
     def _check(self, other):
         if self.ring != other.ring:
@@ -300,11 +299,7 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        # computed once: the terms never change after construction
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.ring, frozenset(self.terms.items())))
-        return h
+        return hash((self.ring, frozenset(self.terms.items())))
 
     def __neg__(self):
         neg = self.ring.field.neg
@@ -330,17 +325,7 @@ class Polynomial:
     def __sub__(self, other):
         if isinstance(other, int):
             other = self.ring.const(other)
-        self._check(other)
-        field = self.ring.field
-        z = field.zero
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = field.sub(out.get(e, z), c)
-            if s == z:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return Polynomial(self.ring, out)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other

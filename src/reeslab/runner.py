@@ -212,18 +212,6 @@ def _run_filtration(session, task):
     return out
 
 
-def _run_verify(session, task):
-    from .corpus import run_corpus
-
-    result = run_corpus(task.options.get("filter"))
-    if result["failed"]:
-        raise ReeslabError(
-            f"{result['failed']} of {result['passed'] + result['failed']} "
-            f"corpus checks failed"
-        )
-    return result
-
-
 _DISPATCH = {
     "length": _run_length,
     "rees": _run_rees,
@@ -234,7 +222,6 @@ _DISPATCH = {
     "radcolon": _run_radcolon,
     "mult": _run_mult,
     "filtration": _run_filtration,
-    "verify": _run_verify,
 }
 
 

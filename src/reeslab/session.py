@@ -23,20 +23,7 @@ from .errors import ParseError
 from .groebner import Ideal
 from .ring import PolyRing, PrimeField, RationalField, poly_str
 
-TASK_KINDS = (
-    "length",
-    "rees",
-    "reduction",
-    "spread",
-    "grade",
-    "dseq",
-    "radcolon",
-    "mult",
-    "filtration",
-    "verify",
-)
-
-# which key=val options each kind admits
+# the task kinds, in this order, and the key=val options each admits
 _TASK_OPTIONS = {
     "length": (),
     "rees": ("nrange", "window"),
@@ -47,8 +34,9 @@ _TASK_OPTIONS = {
     "radcolon": ("nmax",),
     "mult": ("nrange", "nmax", "window"),
     "filtration": ("d", "mrange", "weights", "nmax"),
-    "verify": ("filter",),
 }
+
+TASK_KINDS = tuple(_TASK_OPTIONS)
 
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
@@ -342,23 +330,17 @@ def _parse_task(cur, session_names, kinds):
                 cur.error(f"task {kind} takes no option {key!r}", tok.column)
             if key in options:
                 cur.error(f"duplicate option {key!r}", tok.column)
-            if key == "filter":
-                val_tok = cur.expect("a tag", kind="name")
-                options[key] = val_tok.text
-            else:
-                val_tok = cur.expect("an integer", kind="int")
-                value = _parse_range_value(cur, val_tok)
-                wants_range = key in ("nrange", "mrange")
-                if wants_range and isinstance(value, int):
-                    value = range(value, value + 1)
-                if key == "weights" and isinstance(value, int):
-                    value = (value,)
-                shape = (
-                    range if wants_range else tuple if key == "weights" else int
-                )
-                if not isinstance(value, shape):
-                    cur.error(f"option {key} has the wrong shape", val_tok.column)
-                options[key] = value
+            val_tok = cur.expect("an integer", kind="int")
+            value = _parse_range_value(cur, val_tok)
+            wants_range = key in ("nrange", "mrange")
+            if wants_range and isinstance(value, int):
+                value = range(value, value + 1)
+            if key == "weights" and isinstance(value, int):
+                value = (value,)
+            shape = range if wants_range else tuple if key == "weights" else int
+            if not isinstance(value, shape):
+                cur.error(f"option {key} has the wrong shape", val_tok.column)
+            options[key] = value
             continue
         if options:
             cur.error("positional arguments must precede options", tok.column)
@@ -457,9 +439,6 @@ def _check_task(task, cur, kind_tok, session_names, kinds):
                 task.options["weights"]
             ) != len(lst):
                 cur.error("one weight per pair", col)
-    elif kind == "verify":
-        if task.args:
-            cur.error("task verify takes options only", col)
     window = task.options.get("window")
     if window is not None and window < 3:
         cur.error("window must be at least 3", col)

@@ -11,7 +11,10 @@ no top-level statement of `src/reeslab` other than its own definition
 reads, as a name or an attribute.  A third scan fails on any statement
 of `src/reeslab` that calls `_local_leads(...)` or `.groebner()` and
 discards the result: both are memoized, so such a call only builds a
-cache ahead of the call that reads it.
+cache ahead of the call that reads it.  A fourth scan fails on any
+`import` or `from ... import` inside a function of `src/reeslab`: the
+modules import each other at the top, so the import graph is read off
+the module heads.
 """
 
 import ast
@@ -113,3 +116,25 @@ def test_no_discarded_cache_builds():
         for line in _discarded_cache_builds(path)
     ]
     assert not found, "results discarded:\n" + "\n".join(found)
+
+
+def _function_level_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.extend(
+                node.lineno
+                for node in ast.walk(func)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+            )
+    return sorted(set(found))
+
+
+def test_no_function_level_imports():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted((ROOT / "src/reeslab").glob("*.py"))
+        for line in _function_level_imports(path)
+    ]
+    assert not found, "imports inside functions:\n" + "\n".join(found)

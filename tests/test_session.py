@@ -1,5 +1,7 @@
 """Session grammar, canonical text, report assembly, and the schema."""
 
+import re
+
 import jsonschema
 import pytest
 
@@ -43,11 +45,12 @@ def assert_no_floats(node, path="$"):
 
 
 def test_round_trip():
-    session = parse_session(FULL_TEXT)
-    text = session.canonical_text()
-    again = parse_session(text)
-    assert again == session
-    assert again.canonical_text() == text
+    for source in (FULL_TEXT, FULL_TEXT.replace("q[", "f<32003>[", 1)):
+        session = parse_session(source)
+        text = session.canonical_text()
+        again = parse_session(text)
+        assert again == session
+        assert again.canonical_text() == text
 
 
 def test_parsed_shapes():
@@ -89,6 +92,8 @@ def test_empty_session():
         ("ring q[x]\npoly f = x + w", 2, "unknown"),
         ("ring q[x]\npoly f = x^f", 2, "exponent"),
         ("ring q[x]\ntask frobnicate", 2, "task kind"),
+        ("ring q[x]\ntask verify", 2, "task kind"),
+        ("ring f<8>[x]", 1, "prime"),
         ("ring q[x]\nideal I = x\ntask rees I K", 3, "unknown name"),
         ("ring q[x]\npoly f = x\nideal I = x\ntask rees I f", 4, "bound"),
         ("ring q[x]\nideal I = x\nideal I = x^2", 3, "duplicate"),
@@ -228,3 +233,51 @@ def test_locally_equal_pairs_read_the_same_verdicts():
     assert mult["hypotheses"] == mult2["hypotheses"]
     assert mult["hypotheses"]["radical_strictly_larger"] == "failed"
     assert mult["verdicts"]["height_separation"] == "not_applicable"
+
+
+def _renamed(node, names):
+    # node with every name token of every string renamed
+    if isinstance(node, str):
+        return re.sub(
+            r"[A-Za-z_][A-Za-z0-9_]*", lambda m: names.get(m[0], m[0]), node
+        )
+    if isinstance(node, list):
+        return [_renamed(v, names) for v in node]
+    if isinstance(node, dict):
+        return {k: _renamed(v, names) for k, v in node.items()}
+    return node
+
+
+def test_auxiliary_names_do_not_collide():
+    # t, z, h, s and u1 are the names that intersection,
+    # radical_membership, the Lazard basis and analytic_spread give their
+    # auxiliary variables; a ring that already uses them gets fresh ones
+    # and the same report
+    text = """\
+ring q[x,y,w,v,r]
+ideal J = x^2 - y*w, y^2 + x*w
+ideal I = x^2 - y*w, y^2 + x*w, x*y
+ideal A = x^2, x*y, y^2
+ideal B = x^2, y^2
+ideal K = w*v, r^2, w^2
+ideal N = x^2 - x^3, y, w + y*v, v, r
+task spread I
+task spread K
+task grade J
+task radcolon I J nmax=2
+task mult A B
+task length N
+task reduction I J nmax=3
+"""
+    clash = dict(zip("xywvr", ("t", "z", "h", "s", "u1")))
+    back = {new: old for old, new in clash.items()}
+    reports = []
+    for source in (text, _renamed(text, clash)):
+        report = run_session(parse_session(source))
+        for record in report["tasks"]:
+            del record["elapsed_ms"]
+        reports.append(report)
+    plain, clashing = reports
+    assert clashing["ring"]["variables"] == ["t", "z", "h", "s", "u1"]
+    assert plain["ok"] is True
+    assert _renamed(clashing, back) == plain
