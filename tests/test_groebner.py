@@ -168,7 +168,9 @@ def textbook_divide(f, divisors, order):
                 quotients[i][shift] = factor
                 for e, c in divisors[i].terms.items():
                     t = tuple(a + b for a, b in zip(shift, e))
-                    v = field.sub(work.get(t, zero), field.mul(factor, c))
+                    v = field.add(
+                        work.get(t, zero), field.neg(field.mul(factor, c))
+                    )
                     if v == zero:
                         work.pop(t, None)
                     else:
@@ -865,13 +867,14 @@ def _colon_cases(rng, ring):
 def test_colon_matches_elimination(monkeypatch):
     # every shortcut of colon against the textbook elimination colon,
     # by exact generator lists; a graded colon with a nonzerodivisor
-    # outside a, or of two monomial ideals, runs no elimination
-    eliminations = []
+    # outside a, or of two monomial ideals, runs no Buchberger loop in
+    # a block order, neither an elimination nor the syzygy run
+    block_runs = []
     run = groebner_module.buchberger
 
     def recording(gens, order=GrevLex(), *args, **kwargs):
         if isinstance(order, BlockElimination):
-            eliminations.append(order)
+            block_runs.append(order)
         return run(gens, order, *args, **kwargs)
 
     rng = random.Random(211)
@@ -897,12 +900,12 @@ def test_colon_matches_elimination(monkeypatch):
                     len(g.terms) == 1 for g in a.gens + b.gens
                 )
                 monkeypatch.setattr(groebner_module, "buchberger", recording)
-                del eliminations[:]
+                del block_runs[:]
                 got = colon(Ideal(ring, gens_a), b)
                 monkeypatch.setattr(groebner_module, "buchberger", run)
                 assert got.gens == want, (label, gens_a, gens_b)
                 if nonzerodivisor or monomial:
-                    assert not eliminations, (label, gens_a, gens_b)
+                    assert not block_runs, (label, gens_a, gens_b)
                 seen.add((label, nonzerodivisor, len(outside)))
     labels = {label for label, _, _ in seen}
     assert len(labels) == 9
@@ -910,15 +913,72 @@ def test_colon_matches_elimination(monkeypatch):
     assert any(not nzd and count == 1 for _, nzd, count in seen)
     assert any(nzd and count >= 2 for _, nzd, count in seen)
     assert any(not nzd and count >= 2 for _, nzd, count in seen)
-    # a pair that is not homogeneous takes the elimination path
+    # a pair that is not homogeneous takes the syzygy run
     a = Ideal(R3, (x3**2 - y3, y3 * z3))
     b = Ideal(R3, (x3 + z3**2,))
     monkeypatch.setattr(groebner_module, "buchberger", recording)
-    del eliminations[:]
+    del block_runs[:]
     got = colon(a, b)
     monkeypatch.setattr(groebner_module, "buchberger", run)
-    assert eliminations
+    assert block_runs
     assert got.gens == elimination_colon(a, b)
+
+
+def test_nonhomogeneous_colon_matches_elimination(monkeypatch):
+    # seeded pairs that no certificate covers: a divisor of one to three
+    # generators, most with a constant term, so every colon with a
+    # generator outside a goes through the syzygy run, which must give
+    # the generator lists of the per-generator elimination colon
+    modules = []
+    run = groebner_module.buchberger
+
+    def recording(gens, *args, **kwargs):
+        modules.append(kwargs.get("_module", 0))
+        return run(gens, *args, **kwargs)
+
+    rng = random.Random(307)
+
+    def nonconstant(ring, count, degree):
+        # one to count terms of degrees 1..degree, coefficients in -3..3
+        terms = {}
+        for _ in range(rng.randint(1, count)):
+            e = [0] * ring.nvars
+            for _ in range(rng.randint(1, degree)):
+                e[rng.randrange(ring.nvars)] += 1
+            terms[tuple(e)] = rng.choice((-3, -2, -1, 1, 2, 3))
+        return ring.from_terms(terms)
+
+    reached = {1: 0, 2: 0}
+    for field in (RationalField(), PrimeField(32003)):
+        for _ in range(60):
+            ring = PolyRing(("x", "y", "z")[: rng.choice((2, 3))], field)
+            count = rng.randint(1, 3)
+            gens_a = [nonconstant(ring, 3, 3) for _ in range(count)]
+            gens_b = []
+            for _ in range(rng.randint(1, 3)):
+                g = nonconstant(ring, 2, 2)
+                if rng.random() < 0.7:
+                    g = g + rng.choice((-2, -1, 1, 3))
+                gens_b.append(g)
+            a = Ideal(ring, gens_a)
+            b = Ideal(ring, gens_b)
+            want = elimination_colon(a, b)
+            outside = [g for g in b.gens if not a.contains(g)]
+            monkeypatch.setattr(groebner_module, "buchberger", recording)
+            del modules[:]
+            got = colon(Ideal(ring, gens_a), b)
+            monkeypatch.setattr(groebner_module, "buchberger", run)
+            assert got.gens == want, (gens_a, gens_b)
+            # at most one syzygy run, with a component per generator
+            # outside a and one more
+            syzygy = [m for m in modules if m]
+            assert syzygy in ([], [len(outside) + 1]), (gens_a, gens_b)
+            if syzygy:
+                reached[min(len(outside), 2)] += 1
+    # at least 100 pairs reach the syzygy run, at least 30 of them with
+    # one generator outside a and 30 with several
+    assert sum(reached.values()) >= 100, reached
+    assert min(reached.values()) >= 30, reached
 
 
 def test_colon_memo_returns_the_same_ideal():

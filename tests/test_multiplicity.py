@@ -220,28 +220,42 @@ def test_non_graded_multiplicity_pins():
 def test_mult_reuses_the_colon_chain_of_radcolon(monkeypatch):
     # the stab session's mult task reads the chain J^n : I^n that its
     # radcolon task built on the same bindings; the colons are memoized
-    # on their dividends, so mult repeats none of radcolon's
-    # intersections
+    # on their dividends, so mult repeats none of the Buchberger runs
+    # that radcolon's colons made
     from reeslab import groebner, parse_session, run_session, runner
     from reeslab.corpus import CORPUS
 
     calls = {}
     current = []
-    meet = groebner.intersection
+    inside = []
+    run = groebner.buchberger
+    take_colon = groebner._colon
     run_task = runner.run_task
 
-    def recording_meet(a, b):
-        calls.setdefault(current[-1], []).append((a.gens, b.gens))
-        return meet(a, b)
+    def recording_run(gens, *args, **kwargs):
+        gens = tuple(gens)
+        if inside:
+            key = (gens, repr(args), repr(kwargs))
+            calls.setdefault(current[-1], []).append(key)
+        return run(gens, *args, **kwargs)
+
+    def marking_colon(a, b):
+        inside.append(b)
+        try:
+            return take_colon(a, b)
+        finally:
+            inside.pop()
 
     def marking_run_task(session, task):
         current.append(task.kind)
         return run_task(session, task)
 
-    monkeypatch.setattr(groebner, "intersection", recording_meet)
+    monkeypatch.setattr(groebner, "buchberger", recording_run)
+    monkeypatch.setattr(groebner, "_colon", marking_colon)
     monkeypatch.setattr(runner, "run_task", marking_run_task)
     report = run_session(parse_session(CORPUS["stab"]))
     assert [t["kind"] for t in report["tasks"]] == ["radcolon", "mult"]
     assert report["ok"]
-    assert calls["radcolon"]
+    # the syzygy runs of radcolon's colons are among those recorded
+    assert any("_module" in kwargs for _, _, kwargs in calls["radcolon"])
     assert not set(calls.get("mult", ())) & set(calls["radcolon"])

@@ -251,8 +251,10 @@ def _renamed(node, names):
 def test_auxiliary_names_do_not_collide():
     # t, z, h, s and u1 are the names that intersection,
     # radical_membership, the Lazard basis and analytic_spread give their
-    # auxiliary variables; a ring that already uses them gets fresh ones
-    # and the same report
+    # auxiliary variables, and e0, e1, ... those of the components of
+    # the colon's syzygy run, which radcolon reaches with up to three
+    # generators outside a; a ring that already uses them gets fresh
+    # ones and the same report
     text = """\
 ring q[x,y,w,v,r]
 ideal J = x^2 - y*w, y^2 + x*w
@@ -269,15 +271,15 @@ task mult A B
 task length N
 task reduction I J nmax=3
 """
-    clash = dict(zip("xywvr", ("t", "z", "h", "s", "u1")))
-    back = {new: old for old, new in clash.items()}
-    reports = []
-    for source in (text, _renamed(text, clash)):
-        report = run_session(parse_session(source))
-        for record in report["tasks"]:
-            del record["elapsed_ms"]
-        reports.append(report)
-    plain, clashing = reports
-    assert clashing["ring"]["variables"] == ["t", "z", "h", "s", "u1"]
+    plain = run_session(parse_session(text))
+    for record in plain["tasks"]:
+        del record["elapsed_ms"]
     assert plain["ok"] is True
-    assert _renamed(clashing, back) == plain
+    for names in (("t", "z", "h", "s", "u1"), ("e0", "e1", "e2", "e3", "e")):
+        clash = dict(zip("xywvr", names))
+        back = {new: old for old, new in clash.items()}
+        clashing = run_session(parse_session(_renamed(text, clash)))
+        for record in clashing["tasks"]:
+            del record["elapsed_ms"]
+        assert clashing["ring"]["variables"] == list(names)
+        assert _renamed(clashing, back) == plain
