@@ -10,6 +10,7 @@ the variables.
 from .asymptotics import EventualPolynomial, fit_eventual_polynomial
 from .errors import (
     ContainmentError,
+    ExponentOverflowError,
     LengthCertificationError,
     NotStabilizedError,
     ParseError,

@@ -17,6 +17,10 @@ class ResourceBudgetError(ReeslabError):
     """A Groebner run exceeded its configured basis/pair budget."""
 
 
+class ExponentOverflowError(ReeslabError):
+    """An exponent or degree outgrew the packed fields of a Groebner run."""
+
+
 class NotStabilizedError(ReeslabError):
     """A sample table did not settle into a polynomial within its window."""
 

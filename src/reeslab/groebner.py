@@ -1,20 +1,42 @@
 """Buchberger engine and the ideal-operation suite.
 
-Plain Buchberger with the coprime and chain criteria is enough at desk
-scale (2-4 variables, generators of modest degree), and a small kernel
-is easier to certify than a clever one.  Everything is deterministic:
-a fixed S-pair strategy, canonical sorting of reduced bases, no
-randomness.  Iterative loops run under a budget; exceeding it raises
-ResourceBudgetError rather than returning a silently truncated answer.
+Buchberger's algorithm with the Gebauer-Möller criteria is enough at
+desk scale (2-4 variables, generators of modest degree), and a small
+kernel is easier to certify than a clever one.  Everything is
+deterministic: a fixed S-pair strategy, canonical sorting of reduced
+bases, no randomness.  Iterative loops run under a budget; exceeding it
+raises ResourceBudgetError rather than returning a silently truncated
+answer.
+
+The kernel packs each monomial x^e into one int M = K·2^S + P, in a
+`_Layout` fixed once per run (Bachmann-Schönemann, "Monomial
+representations for Gröbner bases computations", ISSAC 1998).
+
+- P holds e_i in field i and the total degree in field n, each field at
+  least 31 bits wide under a guard bit.
+- K is the order key as one int.  ring.py gives every key as a tuple of
+  linear functionals, so the layout reads the key of each unit vector
+  once, and K is the key tuple as the digits of one number in a radix
+  wider than any difference of two digits: it compares as the tuple
+  does, and K(a + b) = K(a) + K(b).
+- So monomials compare as their ints, x^a·x^b is M_a + M_b, and a
+  quotient one subtraction.  x^a divides x^b exactly when
+  ((M_b | G) - M_a) & G = G, G the mask of the guard bits: a field
+  keeps its guard bit exactly when b_i >= a_i, and no borrow leaves a
+  field.  An lcm takes, field by field, the larger one this test marks.
+- The field width is picked from a run's inputs.  An exponent or degree
+  that outgrows it raises ExponentOverflowError and never wraps: it is
+  checked where terms are packed, and where a product, an S-polynomial
+  or a reduction step adds two monomials, whose sum then sets a guard
+  bit.
 
 Division reads its divisors from a `DivisorTable`: each divisor's lead
-degree, order key of the lead, index, lead exponents and an integer
-form of the divisor, sorted on (lead degree, order key, index).  A
-basis prepares its table once and reuses it for every division: the
-growing basis of `buchberger`, the minimal basis in `_reduce_basis`,
-the kept list of `_interreduce_forms` and a finished `GroebnerBasis`
-each hold one (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
-ch. 2 §3).
+degree, lead, index and integer form, sorted on (lead degree, lead,
+index).  A basis prepares its table once and reuses it for every
+division: the growing basis of `buchberger`, the minimal basis in
+`_reduce_basis`, the kept list of `_interreduce_forms` and a finished
+`GroebnerBasis` each hold one (Cox-Little-O'Shea, Ideals, Varieties, and
+Algorithms, ch. 2 §3).
 
 Division runs on Python ints for both fields, in one loop.  Over Q a
 divisor is stored primitive, with integer coefficients, and the
@@ -29,16 +51,22 @@ stand for.
 
 The S-pair loop stays on those integer forms from its input to the
 reduced basis.  One private loop, `_reduce`, serves `divide`, the
-S-pair reductions, the tail reductions of `_reduce_basis` and
-`_interreduce_forms`.  Each S-polynomial is built on ints from the two
-table entries, a nonzero remainder enters the table as its primitive
-(over GF(p), monic) form, and monic polynomials with field coefficients
-are built only for the reduced basis.  Each table keeps a memo from a
-term's exponents to its heap item, so an order key is computed once per
-table, and each entry carries a mask of the variables in its lead: a
-lead with a variable the term lacks is passed over before the exponents
-are compared (Bachmann-Schönemann, "Monomial representations for Gröbner
-bases computations", ISSAC 1998, call these short exponent vectors).
+S-pair reductions, and the tail reductions of `_reduce_basis` and
+`_interreduce_forms`.  `buchberger` maps polynomials to polynomials,
+and the `_Packed` forms of one layout to those of the reduced basis; a
+`GroebnerBasis` keeps the forms of its run, and the colon and the
+nonzerodivisor certificate start their runs from them.
+
+Pairs are kept by the Gebauer-Möller update (Gebauer-Möller, "On an
+installation of Buchberger's algorithm", J. Symbolic Comput. 6, 1988;
+Becker-Weispfenning, Gröbner Bases, §5.5).  When element t joins, the
+pairs (i, t) with i active are sorted by lcm.  A pair goes when another
+one's lcm properly divides its lcm (M).  Of pairs with one lcm at most
+one stays (F), and none when one of them has coprime leads or two
+single terms, whose S-polynomial reduces to zero.  A queued pair (i, j)
+goes when the lead of t divides its lcm and neither lcm(i, t) nor
+lcm(j, t) equals it (B).  Last, the active elements whose lead the lead
+of t divides leave the active set.
 
 Monomial ideals never reach the S-pair loop.  When every generator is a
 single term, the reduced basis is the set of minimal generators with
@@ -46,10 +74,11 @@ coefficient one: the S-polynomial of two monomials is zero, so those
 generators are already a Groebner basis, and reduced because no lead
 divides another term of the basis (Cox-Little-O'Shea, ch. 2 §4).  The
 basis is unique, so it is the one the S-pair loop would return.
-`minimal_exponents` finds those generators in one pass by ascending
-degree, and products and powers of monomial ideals add exponents and
-minimalize once, with no polynomial arithmetic.  Products of other
-ideals multiply the integer coefficients of their generators, and
+`buchberger` keeps the minimal leads, found in one pass by ascending
+degree, as `minimal_exponents` finds minimal tuples.  Products and
+powers of monomial ideals add exponents and minimalize once by
+`minimal_exponents`, with no polynomial arithmetic.  Products of other
+ideals multiply the packed integer forms of their generators, and
 `_interreduce_forms` takes one primitive form per product.  The
 Hilbert numerator of a monomial ideal, `_numerator`, is swept one
 variable at a time down to a closed form in two variables; its slices
@@ -79,6 +108,8 @@ of M are the reduced basis of a : b.
   basis vector, and every term holds exactly one of them.  The order
   is `BlockElimination(k)` with e_1, ..., e_k in the first block and
   e_0 leading the second, so e_0·x^u against e_0·x^v is grevlex on x.
+  The e_i·h are the packed forms of a's basis, each term moved up past
+  the component fields and shifted by the one add of e_i.
 - Two leads in different components have an S-vector of zero in the
   module, but in the polynomial ring their S-polynomial is quadratic
   in the components.  Queued, such pairs add elements such as
@@ -105,12 +136,13 @@ shortcuts run in front of the syzygy run and return the same lists.
   satisfy N_{a+(g)} = (1 - s^d)·N_a: the sequence
   0 -> R/(a:g)(-d) -> R/a -> R/(a+g) -> 0 is exact, and a ⊆ a : g
   (Bruns-Herzog, Cohen-Macaulay Rings, ch. 4).  The basis of a + (g)
-  grows from the cached reduced basis of a, with no pair queued among
-  its elements.  Then a : b = a.  Reading a Hilbert series to spare
-  Groebner work follows Traverso, "Hilbert functions and the
-  Buchberger algorithm", J. Symbolic Comput. 22 (1996).  A constant
-  generator outside a gives a : b = a as well; alone it gives a's own
-  generators divided by it, since a ∩ (g) is a.
+  grows from the packed forms of the reduced basis of a, with no pair
+  queued among them.  An outside g with g^2 in a is nilpotent modulo
+  a, so a zero divisor, and runs no basis.  Then a : b = a.  Reading
+  a Hilbert series to spare Groebner work follows Traverso, "Hilbert
+  functions and the Buchberger algorithm", J. Symbolic Comput. 22
+  (1996).  A constant generator outside a gives a : b = a as well;
+  alone it gives a's own generators divided by it, since a ∩ (g) is a.
 - Monomial ideals meet in their minimal lcms.  So a monomial piece
   a : (c·x^m) comes out as the minimal max(e - m, 0), with
   coefficient 1/c, and monomial pieces meet with no Groebner run.
@@ -121,22 +153,27 @@ shortcuts run in front of the syzygy run and return the same lists.
 from __future__ import annotations
 
 import bisect
-import heapq
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import zip_longest
 from math import gcd, lcm
-from operator import add, ge, itemgetter, le, neg, sub
+from operator import add, itemgetter, le, mul, sub
 
-from .errors import ResourceBudgetError, RingMismatchError, ZeroPolynomialError
+from .errors import (
+    ExponentOverflowError,
+    ResourceBudgetError,
+    RingMismatchError,
+    ZeroPolynomialError,
+)
 from .ring import (
     DEFAULT_ORDER,
     BlockElimination,
     PolyRing,
     Polynomial,
     PrimeField,
-    leading_term,
     poly_str,
     total_degree,
 )
@@ -158,17 +195,101 @@ BUDGET = ResourceBudget()
 _ACTIVE_BUDGET = ContextVar("reeslab_budget", default=BUDGET)
 
 
-def _exps_lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
+class _Layout:
+    """The packing of one run's monomials into ints; see the module docstring.
+
+    Each field has `bits` value bits under a guard bit.  `units` holds
+    the packed unit vectors, so x^e packs as sum(e_i·units[i]).
+    """
+
+    __slots__ = (
+        "order", "bits", "limit", "fmask", "width", "dshift",
+        "guards", "exps", "shifts", "units",
+    )
+
+    def __init__(self, nvars, order, bits):
+        width = bits + 1
+        self.order = order
+        self.bits = bits
+        self.limit = 1 << bits  # every exponent and degree stays below it
+        self.fmask = self.limit - 1
+        self.width = width
+        self.dshift = nvars * width
+        pbits = self.dshift + width
+        self.guards = sum(self.limit << (j * width) for j in range(nvars + 1))
+        self.exps = sum(self.fmask << (i * width) for i in range(nvars))
+        self.shifts = range(0, self.dshift, width)
+        keys = [
+            order.key((0,) * i + (1,) + (0,) * (nvars - 1 - i))
+            for i in range(nvars)
+        ]
+        # digits of a key stay below span·limit in size, so their
+        # differences below the radix 2^rbits
+        span = max(abs(c) for k in keys for c in k)
+        rbits = bits + 1 + span.bit_length()
+        self.units = [
+            (sum(c << (rbits * j) for j, c in enumerate(reversed(k))) << pbits)
+            + (1 << (i * width))
+            + (1 << self.dshift)
+            for i, k in enumerate(keys)
+        ]
+
+    def overflow(self):
+        return ExponentOverflowError(
+            f"an exponent or degree reached 2^{self.bits}, the field width of "
+            "this Groebner run"
+        )
+
+    def pack(self, e):
+        if sum(e) >= self.limit:
+            raise self.overflow()
+        return sum(map(mul, e, self.units))
+
+    def unpack(self, m):
+        fmask = self.fmask
+        return tuple(m >> s & fmask for s in self.shifts)
+
+    def degree(self, m):
+        return m >> self.dshift & self.fmask
+
+    def lcm(self, a, b):
+        # the exponent fields of lcm(x^a, x^b), with no degree or key:
+        # field by field the larger, where the guard test marks it
+        guards = self.guards
+        wider = ((((a | guards) - b) & guards) >> self.bits) * self.fmask
+        return (a & wider | b & ~wider) & self.exps
+
+    def key(self, x):
+        # the packed monomial of the exponent fields x
+        return self.pack(self.unpack(x))
 
 
-def _support(e):
-    # bitmask of the variables that occur in e
-    mask = 0
-    for i, x in enumerate(e):
-        if x:
-            mask |= 1 << i
-    return mask
+_layouts = lru_cache(maxsize=256)(_Layout)
+
+
+def _layout(nvars, order, top=0):
+    # the layout for inputs of degree at most `top`: at least 31 value
+    # bits, and two more than `top` needs
+    return _layouts(nvars, order, max(31, top.bit_length() + 2))
+
+
+class _Packed:
+    """Integer forms (lead, L, tail) of one ring in one layout.
+
+    The form stands for L·x^lead - sum c·x^e over (e, c) in the tail:
+    primitive with L > 0 over Q, monic over GF(p).  It is what a packed
+    `buchberger` run reads and returns.
+    """
+
+    __slots__ = ("ring", "layout", "forms")
+
+    def __init__(self, ring, layout, forms):
+        self.ring = ring
+        self.layout = layout
+        self.forms = forms
+
+    def __len__(self):
+        return len(self.forms)
 
 
 def _char(ring):
@@ -205,6 +326,27 @@ def minimal_exponents(exps, order=DEFAULT_ORDER):
     only those are then sorted by the order.
     """
     return sorted(_minimal(exps), key=order.key)
+
+
+def _minimal_leads(leads, layout):
+    # the packed leads no other lead divides, ascending in the order, by
+    # the pass of `_minimal`: a proper divisor has a lower degree
+    guards = layout.guards
+    kept = []
+    same = []  # kept leads of the current degree
+    deg = -1
+    for d, m in sorted([(layout.degree(m), m) for m in leads]):
+        if d != deg:
+            kept += same
+            same = []
+            deg = d
+        m_guarded = m | guards
+        for k in kept:
+            if (m_guarded - k) & guards == guards:
+                break
+        else:
+            same.append(m)
+    return sorted(kept + same)
 
 
 def _add_shifted(num, part, shift, op=add):
@@ -289,150 +431,165 @@ def _monomials(ring, exps):
     return [Polynomial(ring, {e: one}) for e in exps]
 
 
-def _primitive(nums, lead_exps, field, inv=None):
-    # (L, tail) of the integer form of the int polynomial `nums`, whose
-    # lead is x^lead_exps: primitive with L > 0 over Q, monic over GF(p),
-    # where inv is the inverse of the lead coefficient if the caller has it
+def _form(nums, field):
+    # the integer form of the nonzero int polynomial `nums`: primitive
+    # with L > 0 over Q, monic over GF(p)
+    lead = max(nums)
     if isinstance(field, PrimeField):
         p = field.p
-        if inv is None:
-            lc = nums[lead_exps]
-            inv = 1 if lc == 1 else field.invert(lc)
-        return 1, tuple(
-            (e, -n * inv % p) for e, n in nums.items() if e != lead_exps
-        )
+        lc = nums[lead]
+        inv = 1 if lc == 1 else field.invert(lc)
+        return lead, 1, tuple((e, -n * inv % p) for e, n in nums.items() if e != lead)
     content = gcd(*nums.values())
-    if nums[lead_exps] < 0:
+    if nums[lead] < 0:
         content = -content
-    return nums[lead_exps] // content, tuple(
-        (e, -(n // content)) for e, n in nums.items() if e != lead_exps
+    return lead, nums[lead] // content, tuple(
+        (e, -(n // content)) for e, n in nums.items() if e != lead
     )
 
 
-def _int_nums(g):
-    # the coefficients of g as ints: g's own over GF(p), g times the lcm
-    # of its denominators over Q
+def _nums(g, layout):
+    # the coefficients of g as ints, packed: g's own over GF(p), g times
+    # the lcm of its denominators over Q
+    pack = layout.pack
     if _char(g.ring):
-        return g.terms
+        return {pack(e): c for e, c in g.terms.items()}
     den = lcm(*(c.denominator for c in g.terms.values()))
-    return {e: c.numerator * (den // c.denominator) for e, c in g.terms.items()}
+    return {pack(e): c.numerator * (den // c.denominator) for e, c in g.terms.items()}
 
 
-def _monic_poly(ring, lead_exps, lead, tail):
-    # the monic polynomial whose integer form is (lead_exps, L, tail)
-    terms = {lead_exps: ring.field.one}
+def _poly_form(g, layout):
+    # the integer form of the nonzero polynomial g
+    if len(g.terms) == 1:
+        (e,) = g.terms
+        return layout.pack(e), 1, ()
+    return _form(_nums(g, layout), g.ring.field)
+
+
+def _pack(ring, order, polys):
+    # the forms of the nonzero polys of `ring`, in a layout they fit
+    polys = [g for g in polys if not g.is_zero]
+    for g in polys:
+        if g.ring != ring:
+            raise RingMismatchError(f"{ring!r} vs {g.ring!r}")
+    top = max((sum(e) for g in polys for e in g.terms), default=0)
+    layout = _layout(ring.nvars, order, top)
+    return _Packed(ring, layout, [_poly_form(g, layout) for g in polys])
+
+
+def _terms(form):
+    # the int polynomial {monomial: coefficient} of an integer form
+    lead, L, tail = form
+    nums = {e: -c for e, c in tail}
+    nums[lead] = L
+    return nums
+
+
+def _multiply(a, b, layout, p):
+    # the product of two nonzero int polynomials, zero terms dropped
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            out[e] = out.get(e, 0) + ca * cb
+    if any(e & layout.guards for e in out):
+        raise layout.overflow()
+    if p:
+        out = {e: c % p for e, c in out.items()}
+    return {e: c for e, c in out.items() if c}
+
+
+def _monic_poly(ring, layout, form):
+    # the monic polynomial of an integer form
+    lead, L, tail = form
+    unpack = layout.unpack
+    terms = {unpack(lead): ring.field.one}
     p = _char(ring)
     for e, c in tail:
-        terms[e] = -c % p if p else Fraction(-c, lead)
+        terms[unpack(e)] = -c % p if p else Fraction(-c, L)
     return Polynomial(ring, terms)
 
 
-def _poly_forms(polys, order):
-    # the integer forms (lead exponents, L, tail) of the nonzero polys
-    for g in polys:
-        lead_exps, _ = leading_term(g, order)
-        yield (lead_exps,) + _primitive(_int_nums(g), lead_exps, g.ring.field)
-
-
-def _product_forms(ring, fs, gs, order):
-    # the integer forms of the products f*g, multiplied on the int
-    # coefficients of f and g; the lead of a product is the product of
-    # the leads, since a monomial order respects multiplication
-    field = ring.field
-    p = _char(ring)
-    right = [(leading_term(g, order)[0], _int_nums(g)) for g in gs]
-    for f in fs:
-        lead_f, _ = leading_term(f, order)
-        nums_f = _int_nums(f).items()
-        for lead_g, nums_g in right:
-            nums = {}
-            for ea, ca in nums_f:
-                for eb, cb in nums_g.items():
-                    e = tuple(map(add, ea, eb))
-                    nums[e] = nums.get(e, 0) + ca * cb
-            if p:
-                nums = {e: c % p for e, c in nums.items()}
-            nums = {e: c for e, c in nums.items() if c}
-            lead_exps = tuple(map(add, lead_f, lead_g))
-            yield (lead_exps,) + _primitive(nums, lead_exps, field)
+def _polys(ring, layout, forms):
+    return [_monic_poly(ring, layout, form) for form in forms]
 
 
 def _distinct_forms(forms):
     # the integer forms, keeping the first of several scalar multiples
     kept = []
     seen = set()
-    for lead_exps, lead, tail in forms:
-        mark = (lead_exps, lead, frozenset(tail))
+    for lead, L, tail in forms:
+        mark = (lead, L, frozenset(tail))
         if mark not in seen:
             seen.add(mark)
-            kept.append((lead_exps, lead, tail))
+            kept.append((lead, L, tail))
     return kept
 
 
 class DivisorTable:
     """The leading data of a divisor list, prepared once for many divisions.
 
-    `entries` holds one tuple per nonzero divisor g: (lead degree, order
-    key of the lead, index, lead exponents, mask, L, tail, kappa).  The
-    mask has bit i set when variable i occurs in the lead.  The last
-    three describe the integer form g~ = kappa*g that `divide` subtracts:
-    L is its leading coefficient, a positive int, and `tail` lists its
-    other terms as (exponents, -coefficient) pairs of ints.  Over Q, g~
-    is primitive: its integer coefficients have no common factor.  Over
-    GF(p), g~ is monic, so L is 1 and the tail holds residues in
-    [0, p).  Only quotients read kappa; it is the int 1 when g~ is g.
-    A monomial becomes the monomial with L = 1 and an empty tail.
+    `entries` holds one tuple per nonzero divisor g: (lead degree, lead,
+    index, L, tail, kappa), its monomials packed in the table's
+    `layout` (see the module docstring).  L and the tail describe the
+    integer form g~ = kappa*g that `divide` subtracts: L is its leading
+    coefficient, a positive int, and `tail` lists its other terms as
+    (monomial, -coefficient) pairs of ints.  Over Q, g~ is primitive: its
+    integer coefficients have no common factor.  Over GF(p), g~ is
+    monic, so L is 1 and the tail holds residues in [0, p).  Only
+    quotients read kappa; it is the int 1 when g~ is g.  A monomial
+    becomes the monomial with L = 1 and an empty tail.
 
-    The entries stay sorted on (lead degree, order key of the lead,
-    index), so low-degree leads come first and the scan in `divide` can
-    stop at the first lead of higher degree than the term it reduces.
-    The index is the divisor's position in the list it came from;
-    quotients are reported in that order.  `add` gives each new divisor
-    the next index and inserts it on the same key, so a table grown one
-    divisor at a time has the order of a table built over the whole list
-    at once.
-
-    `memo` maps the exponents of every term a division has met to its
-    heap item (negated order key, degree, complement of its mask,
-    exponents), so each order key is computed once per table.
+    The entries stay sorted on (lead degree, lead, index): a packed lead
+    compares as the order does, so low-degree leads come first and the
+    scan in `divide` can stop at the first lead of higher degree than
+    the term it reduces.  The index is the divisor's position in the
+    list it came from; quotients are reported in that order.  `add`
+    gives each new divisor the next index and inserts it on the same
+    key, so a table grown one divisor at a time has the order of a table
+    built over the whole list at once.  The layout is fixed by the
+    divisors of the first call that brings any.
     """
 
-    __slots__ = ("ring", "order", "entries", "size", "memo")
+    __slots__ = ("ring", "order", "layout", "entries", "size")
 
     def __init__(self, divisors=(), order=DEFAULT_ORDER):
         self.ring = None
         self.order = order
+        self.layout = None
         self.entries = []
         self.size = 0
-        self.memo = {}
+        divisors = list(divisors)
+        top = max((total_degree(g) for g in divisors if g), default=0)
         for g in divisors:
             if g.is_zero:
                 # a zero divisor keeps its index, and its quotient is zero
                 self.size += 1
                 continue
-            self._check_ring(g)
+            self._check_ring(g, top)
             self.entries.append(self._poly_entry(g))
         self.entries.sort()
 
-    def _check_ring(self, g):
+    def _check_ring(self, g, top):
         if self.ring is None:
             self.ring = g.ring
+            self.layout = _layout(g.ring.nvars, self.order, top)
         elif g.ring != self.ring:
             raise RingMismatchError(f"{self.ring!r} vs {g.ring!r}")
 
-    def _entry(self, e, lead, tail, kappa):
+    def _entry(self, lead, L, tail, kappa):
         idx = self.size
         self.size += 1
-        return (sum(e), self.order.key(e), idx, e, _support(e), lead, tail, kappa)
+        return (self.layout.degree(lead), lead, idx, L, tail, kappa)
 
     def _poly_entry(self, g):
         # the entry of the nonzero polynomial g, whose integer form is
         # kappa*g with kappa = L/lc
-        e, lc = leading_term(g, self.order)
+        form = _poly_form(g, self.layout)
+        lc = g.terms[self.layout.unpack(form[0])]
         field = g.ring.field
         inv = 1 if lc == field.one else field.invert(lc)
-        lead, tail = _primitive(_int_nums(g), e, field, inv)
-        return self._entry(e, lead, tail, lead * inv)
+        return self._entry(*form, form[1] * inv)
 
     def add(self, g):
         """Append the nonzero g as the next divisor; returns its lead.
@@ -442,29 +599,32 @@ class DivisorTable:
         """
         if g.is_zero:
             raise ZeroPolynomialError("cannot add the zero polynomial as a divisor")
-        self._check_ring(g)
+        self._check_ring(g, total_degree(g))
         entry = self._poly_entry(g)
         bisect.insort(self.entries, entry)
-        return entry[3]
+        return self.layout.unpack(entry[1])
 
-    def _add_form(self, lead_exps, lead, tail):
-        # append the monic divisor whose integer form has lead exponents
-        # `lead_exps`, leading coefficient `lead` and `tail`
-        bisect.insort(self.entries, self._entry(lead_exps, lead, tail, lead))
+    def _add_form(self, lead, L, tail):
+        # append the monic divisor of an integer form
+        bisect.insort(self.entries, self._entry(lead, L, tail, L))
+
+
+def _table(ring, layout, forms=()):
+    # the divisor table of integer forms in the layout
+    table = DivisorTable((), layout.order)
+    table.ring = ring
+    table.layout = layout
+    for form in forms:
+        table._add_form(*form)
+    return table
 
 
 def _add_remainder(table, r, field):
-    # append the divisor whose int numerators are the remainder r, its
-    # terms in descending order, and return its integer form
-    lead_exps = next(iter(r))
-    form = (lead_exps,) + _primitive(r, lead_exps, field)
+    # append the divisor whose int numerators are the remainder r, and
+    # return its integer form
+    form = _form(r, field)
     table._add_form(*form)
     return form
-
-
-def _heap_item(memo, key, e):
-    item = memo[e] = (tuple(map(neg, key(e))), sum(e), ~_support(e), e)
-    return item
 
 
 def _reduce(work, s, table, p, quotients=None):
@@ -478,55 +638,58 @@ def _reduce(work, s, table, p, quotients=None):
     # the term exactly.  Over GF(p), L is 1 and every coefficient is read
     # modulo p when its term is reached.  A reduction records its factor
     # in `quotients` when given, one dict per table index.
-    memo = table.memo
-    key = table.order.key
+    layout = table.layout
+    guards = layout.guards
+    dshift = layout.dshift
+    fmask = layout.fmask
     entries = table.entries
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    # each exponent in `work` has exactly one heap item: a reduction only
+    # a max-heap of the monomials of `work`, each once: a reduction only
     # adds terms below the one it reduces, which are not yet popped
-    heap = [memo.get(e) or _heap_item(memo, key, e) for e in work]
-    heapq.heapify(heap)
+    heap = [-m for m in work]
+    heapify(heap)
     remainder = {}
     while heap:
-        _, deg, miss, exps = heappop(heap)
-        c = work.pop(exps)
+        m = -heappop(heap)
+        c = work.pop(m)
         if p:
             c %= p
         if not c:
             continue
-        for lead_deg, _, idx, lead_exps, mask, lead, tail, kappa in entries:
+        deg = m >> dshift & fmask
+        m_guarded = m | guards
+        for lead_deg, lead, idx, L, tail, kappa in entries:
             if lead_deg > deg:
-                remainder[exps] = c
+                remainder[m] = c
                 break
-            # a lead with a variable the term lacks cannot divide it
-            if mask & miss or not all(map(ge, exps, lead_exps)):
+            if (m_guarded - lead) & guards != guards:
                 continue
-            shift = tuple(map(sub, exps, lead_exps))
-            if lead != 1:
-                h = gcd(c, lead)
-                m = lead // h
+            shift = m - lead
+            if L != 1:
+                h = gcd(c, L)
+                f = L // h
                 c //= h
-                if m != 1:
-                    s *= m
+                if f != 1:
+                    s *= f
                     for e in work:
-                        work[e] *= m
+                        work[e] *= f
                     for e in remainder:
-                        remainder[e] *= m
+                        remainder[e] *= f
             if quotients is not None:
                 factor = c * kappa % p if p else Fraction(c, s) * kappa
                 quotients[idx][shift] = factor
-            for te, tc in tail:
-                tgt = tuple(map(add, shift, te))
-                old = work.get(tgt)
+            for e, tc in tail:
+                e += shift
+                if e & guards:
+                    raise layout.overflow()
+                old = work.get(e)
                 if old is None:
-                    work[tgt] = c * tc
-                    heappush(heap, memo.get(tgt) or _heap_item(memo, key, tgt))
+                    work[e] = c * tc
+                    heappush(heap, -e)
                 else:
-                    work[tgt] = old + c * tc
+                    work[e] = old + c * tc
             break
         else:
-            remainder[exps] = c
+            remainder[m] = c
     return remainder, s
 
 
@@ -536,11 +699,11 @@ def divide(f, divisors, order=DEFAULT_ORDER, with_quotients=False):
     `divisors` is a list of polynomials or a `DivisorTable` prepared for
     the same order; a list is turned into a table once, at the top of
     the call.  Each term is reduced by the first divisor in table order,
-    (lead degree, order key of the lead, index), whose lead divides it.
+    (lead degree, order of the lead, index), whose lead divides it.
     No remainder term is divisible by the leading term of any divisor.
     Quotients are tracked only on request; the first return value is
-    None otherwise.  Candidate terms live in a max-heap keyed by the
-    order.
+    None otherwise.  Candidate terms live in a max-heap of their packed
+    monomials.
 
     The arithmetic is on ints, for both fields.  The working polynomial
     is kept as `work`/s: integer coefficients over one common
@@ -560,17 +723,25 @@ def divide(f, divisors, order=DEFAULT_ORDER, with_quotients=False):
     ring = f.ring
     if divisors.ring is not None and divisors.ring != ring:
         raise RingMismatchError(f"{ring!r} vs {divisors.ring!r}")
+    layout = divisors.layout
+    if layout is None:
+        # no nonzero divisor: every quotient is zero
+        return ([ring.zero] * divisors.size if with_quotients else None), f
     p = _char(ring)
     quotients = [{} for _ in range(divisors.size)] if with_quotients else None
     s = lcm(*(c.denominator for c in f.terms.values()))
-    work = {e: c.numerator * (s // c.denominator) for e, c in f.terms.items()}
+    pack = layout.pack
+    work = {pack(e): c.numerator * (s // c.denominator) for e, c in f.terms.items()}
     remainder, s = _reduce(work, s, divisors, p, quotients)
+    unpack = layout.unpack
     if not p:
-        remainder = {e: Fraction(c, s) for e, c in remainder.items()}
-    rem = Polynomial(ring, remainder)
+        remainder = {m: Fraction(c, s) for m, c in remainder.items()}
+    rem = Polynomial(ring, {unpack(m): c for m, c in remainder.items()})
     if not with_quotients:
         return None, rem
-    return [Polynomial(ring, q) for q in quotients], rem
+    return [
+        Polynomial(ring, {unpack(m): c for m, c in q.items()}) for q in quotients
+    ], rem
 
 
 def buchberger(
@@ -578,12 +749,17 @@ def buchberger(
 ):
     """Reduced Groebner basis of the ideal spanned by the generators.
 
-    Monomial generators return their minimal monomials at once.  Others
-    go through the S-pair loop, with the normal selection strategy:
-    pairs are popped by lcm total degree, then the order key of the lcm,
-    then generator indices.  Pairs with coprime leads are never queued;
-    the chain criterion drops a pair when a third basis element divides
-    its lcm and both flanking pairs were already treated.
+    Polynomials in, the monic reduced basis out, ascending in the order;
+    the `_Packed` forms of a layout for `order` in, the `_Packed` forms
+    of the reduced basis out.  Single-term generators return their
+    minimal monomials at once.  Others go through the S-pair loop, with
+    the normal selection strategy: pairs are popped by lcm total degree,
+    then the order of the lcm, then generator indices.  The pairs are
+    kept by the Gebauer-Möller update of the module docstring: the M
+    and F criteria on the new pairs, which drop the pairs of coprime
+    leads and of two single terms along with every pair of their lcm,
+    and the B criterion on the queued ones.  The S-pair budget counts
+    the pairs queued.
 
     `_degree`, for homogeneous generators only, stops the loop before
     the first pair whose lcm has a higher degree; what it returns are
@@ -591,198 +767,208 @@ def buchberger(
 
     `_reduced` says that the first that many generators already form a
     reduced basis in the order, such as a cached basis grown by new
-    generators: no pair among them is queued, and the chain criterion
-    counts those pairs as treated.
+    generators: they start as the active set with no pair queued, as if
+    every pair among them were treated.
 
     `_module=m` reads the generators as elements of a free module of rank
     m: the first m variables stand for its basis vectors, and every term
     holds exactly one of them, once.  A pair whose leads lie in different
-    components is never queued, since its S-vector is zero; every other
+    components is never formed, since its S-vector is zero; every other
     S-polynomial and remainder stays linear in the components.
 
-    The loop keeps each basis element as its integer form (lead
-    exponents, L, tail), the data of its `DivisorTable` entry.  The
-    S-polynomial of elements i and j is built on ints as
+    The loop keeps each basis element as its integer form (lead, L,
+    tail), the data of its `DivisorTable` entry.  The S-polynomial of
+    elements i and j is built on ints as
     (L_j/h)*x^(l-a_i)*g~_i - (L_i/h)*x^(l-a_j)*g~_j, with l the lcm of
     the leads a_i, a_j and h = gcd(L_i, L_j): a positive multiple of the
     S-polynomial of the monic elements, so it has the same remainder up
     to that scalar.  A nonzero remainder enters the table as its
-    primitive (over GF(p), monic) form; monic polynomials are built only
-    for the reduced basis.
+    primitive (over GF(p), monic) form.
     """
+    packed = gens
+    if not isinstance(gens, _Packed):
+        gens = [g for g in gens if not g.is_zero]
+        if not gens:
+            return []
+        packed = _pack(gens[0].ring, order, gens)
+    ring = packed.ring
+    layout = packed.layout
+    basis = packed.forms
+    if any(tail for _, _, tail in basis):
+        basis = _distinct_forms(basis)  # integer forms, by index
+        _pair_loop(ring, layout, basis, budget, _degree, _reduced, _module)
+    if _degree is not None:
+        basis = [form for form in basis if layout.degree(form[0]) <= _degree]
+    forms = _reduce_basis(ring, basis, layout)
+    if packed is gens:
+        return _Packed(ring, layout, forms)
+    return _polys(ring, layout, forms)
+
+
+def _pair_loop(ring, layout, basis, budget, cap, reduced, module):
+    # the S-pair loop over the forms in `basis`, which it extends; see
+    # `buchberger`
     budget = budget or _ACTIVE_BUDGET.get()
-    ring = None
-    nonzero = []
-    for g in gens:
-        if g.is_zero:
-            continue
-        if ring is None:
-            ring = g.ring
-        elif g.ring != ring:
-            raise RingMismatchError(f"{ring!r} vs {g.ring!r}")
-        nonzero.append(g)
-    if not nonzero:
-        return []
-    cap = float("inf") if _degree is None else _degree
-    exps = _monomial_exps(nonzero)
-    if exps is not None:
-        minimal = minimal_exponents(exps, order)
-        return _monomials(ring, [e for e in minimal if sum(e) <= cap])
+    cap = float("inf") if cap is None else cap
     p = _char(ring)
-    key = order.key
-    components = (1 << _module) - 1  # the mask bits of the module's vectors
-    table = DivisorTable((), order)
-    basis = []  # integer forms, by index
-    leads = []
-    masks = []
-    heap = []
-    pending = set()
+    guards = layout.guards
+    exps = layout.exps
+    lcm_of = layout.lcm
+    components = (1 << module * layout.width) - 1  # the module's fields
+    table = _table(ring, layout, basis)
+    active = list(range(reduced))
+    heap = []  # pairs (lcm degree, lcm, i, j)
     pushes = 0
 
-    def append(form):
-        basis.append(form)
-        leads.append(form[0])
-        masks.append(_support(form[0]))
-
-    def queue_pairs(t):
-        nonlocal pushes
-        lt = leads[t]
-        mt = masks[t]
-        # the s-polynomial of two single terms cancels identically, so
-        # such pairs are treated without ever entering the queue
-        single_t = not basis[t][2]
-        for i in range(t):
-            if not masks[i] & mt:
-                continue  # coprime leads
-            if (masks[i] ^ mt) & components:
-                continue  # leads in different components
-            if single_t and not basis[i][2]:
+    def update(t):
+        nonlocal active, heap, pushes
+        lead, _, tail = basis[t]
+        lcms = {}
+        for i in active:
+            if not (basis[i][0] ^ lead) & components:
+                lcms[i] = lcm_of(basis[i][0], lead)
+        # the new pairs by lcm, so a proper divisor comes first (M) and
+        # equal lcms come together (F)
+        minimal = []
+        for l, i in sorted((l, i) for i, l in lcms.items()):
+            other = basis[i]
+            zero = l == (other[0] + lead) & exps or not (tail or other[2])
+            if minimal and minimal[-1][0] == l:
+                minimal[-1][2] |= zero
                 continue
-            lcm = _exps_lcm(leads[i], lt)
-            heapq.heappush(heap, (sum(lcm), key(lcm), i, t))
-            pending.add((i, t))
-            pushes += 1
+            l_guarded = l | guards
+            for m, _, _ in minimal:
+                if (l_guarded - m) & guards == guards:
+                    break
+            else:
+                minimal.append([l, i, zero])
+
+        def flank(i):
+            return lcms[i] if i in lcms else lcm_of(basis[i][0], lead)
+
+        kept = [
+            pair
+            for pair in heap
+            if ((pair[1] | guards) - lead) & guards != guards
+            or flank(pair[2]) == pair[1] & exps
+            or flank(pair[3]) == pair[1] & exps
+        ]
+        if len(kept) < len(heap):
+            heap = kept
+            heapify(heap)
+        for l, i, zero in minimal:
+            if not zero:
+                m = layout.key(l)
+                heappush(heap, (layout.degree(m), m, i, t))
+                pushes += 1
         if pushes > budget.max_pairs:
             raise ResourceBudgetError(
                 f"S-pair budget {budget.max_pairs} exceeded; "
                 "raise REESLAB_BUDGET pairs=N"
             )
+        active = [
+            i for i in active if ((basis[i][0] | guards) - lead) & guards != guards
+        ]
+        active.append(t)
 
-    for form in _distinct_forms(_poly_forms(nonzero, order)):
-        table._add_form(*form)
-        append(form)
-    for t in range(_reduced, len(basis)):
-        queue_pairs(t)
+    for t in range(reduced, len(basis)):
+        update(t)
     while heap and heap[0][0] <= cap:
-        _, _, i, j = heapq.heappop(heap)
-        pending.discard((i, j))
-        lcm = _exps_lcm(leads[i], leads[j])
-        miss = ~(masks[i] | masks[j])
-        skip = False
-        for l in range(len(basis)):
-            if (
-                masks[l] & miss
-                or l == i
-                or l == j
-                or not all(map(le, leads[l], lcm))
-            ):
-                continue
-            a = (i, l) if i < l else (l, i)
-            b = (j, l) if j < l else (l, j)
-            if a not in pending and b not in pending:
-                skip = True
-                break
-        if skip:
-            continue
+        _, l, i, j = heappop(heap)
         ei, li, ti = basis[i]
         ej, lj, tj = basis[j]
         h = gcd(li, lj)
         fi = lj // h
         fj = li // h
-        si = tuple(map(sub, lcm, ei))
-        sj = tuple(map(sub, lcm, ej))
+        si = l - ei
+        sj = l - ej
         work = {}
         # the tails store negated coefficients
         for e, c in ti:
-            e = tuple(map(add, si, e))
+            e += si
             work[e] = work.get(e, 0) - fi * c
         for e, c in tj:
-            e = tuple(map(add, sj, e))
+            e += sj
             work[e] = work.get(e, 0) + fj * c
+        if any(e & guards for e in work):
+            raise layout.overflow()
         r, _ = _reduce(work, 1, table, p)
         if not r:
             continue
-        append(_add_remainder(table, r, ring.field))
+        basis.append(_add_remainder(table, r, ring.field))
         if len(basis) > budget.max_basis:
             raise ResourceBudgetError(
                 f"basis size budget {budget.max_basis} exceeded; "
                 "raise REESLAB_BUDGET basis=N"
             )
-        queue_pairs(len(basis) - 1)
+        update(len(basis) - 1)
     # every pair left, and every element it would add, lies above the
     # cap, and homogeneous division never leaves a degree, so the
     # elements through the cap are already those of the reduced basis
-    low = [form for form in basis if sum(form[0]) <= cap]
-    return _reduce_basis(ring, low, order, table.memo)
 
 
-def _reduce_basis(ring, basis, order, memo):
+def _reduce_basis(ring, basis, layout):
     # minimalize the integer forms, then tail-reduce every element
     # against one table of the minimal basis; an element may stay in the
     # table its own tail is reduced against, because no term below a
-    # lead is divisible by it.  The table reuses the loop's key memo.
+    # lead is divisible by it
     by_lead = {}
     for form in basis:
         by_lead.setdefault(form[0], form)
-    minimal = [by_lead[e] for e in minimal_exponents(by_lead, order)]
-    if len(minimal) == 1:
-        return [_monic_poly(ring, *minimal[0])]
-    table = DivisorTable((), order)
-    table.memo = memo
-    for form in minimal:
-        table._add_form(*form)
+    minimal = [by_lead[m] for m in _minimal_leads(by_lead, layout)]
+    if len(minimal) < 2 or not any(tail for _, _, tail in minimal):
+        return minimal
+    table = _table(ring, layout, minimal)
     p = _char(ring)
     reduced = []
-    for lead_exps, lead, tail in minimal:
+    for lead, L, tail in minimal:
         r, s = _reduce({e: -c for e, c in tail}, 1, table, p)
-        # the monic element's reduced tail is r/(s*L); tails store
-        # negated coefficients
-        tail = [(e, -c) for e, c in r.items()]
-        reduced.append(_monic_poly(ring, lead_exps, s * lead, tail))
-    # the leads are those of `minimal`, already ascending in the order
+        # the monic element's reduced tail is r/(s*L)
+        r[lead] = s * L
+        reduced.append(_form(r, ring.field))
     return reduced
 
 
 class GroebnerBasis:
     """A reduced basis with its order; iterates over the polynomials.
 
-    The divisor table is built on the first normal form, so a basis
-    that only lends its leads, like those of the Hilbert numerators,
-    never builds one.
+    `run` holds its `_Packed` integer forms: those of the run that made
+    it, or its polynomials packed once.  The polynomials of a run are
+    built on first use, and the divisor table on the first normal form,
+    so a basis that only lends its leads, like those of the Hilbert
+    numerators, builds neither.
     """
 
-    __slots__ = ("ring", "order", "polys", "lead_exps", "_table")
+    __slots__ = ("ring", "order", "run", "lead_exps", "_polys", "_table")
 
     def __init__(self, ring, order, polys):
         self.ring = ring
         self.order = order
-        self.polys = tuple(polys)
-        exps = _monomial_exps(self.polys)
-        if exps is None:
-            exps = [leading_term(p, order)[0] for p in self.polys]
-        self.lead_exps = tuple(exps)
+        packed = isinstance(polys, _Packed)
+        self.run = polys if packed else _pack(ring, order, polys)
+        self._polys = None if packed else tuple(polys)
+        unpack = self.run.layout.unpack
+        self.lead_exps = tuple(unpack(form[0]) for form in self.run.forms)
         self._table = None
+
+    @property
+    def polys(self):
+        if self._polys is None:
+            run = self.run
+            self._polys = tuple(_polys(run.ring, run.layout, run.forms))
+        return self._polys
 
     def __iter__(self):
         return iter(self.polys)
 
     def __len__(self):
-        return len(self.polys)
+        return len(self.run)
 
     @property
     def table(self):
         if self._table is None:
-            self._table = DivisorTable(self.polys, self.order)
+            run = self.run
+            self._table = _table(run.ring, run.layout, run.forms)
         return self._table
 
     def normal_form(self, f):
@@ -796,7 +982,7 @@ class GroebnerBasis:
     @property
     def is_unit(self):
         # a reduced basis of the unit ideal is exactly [1]
-        return bool(self.polys) and total_degree(self.polys[0]) == 0
+        return bool(self.lead_exps) and not any(self.lead_exps[0])
 
 
 class Ideal:
@@ -833,8 +1019,8 @@ class Ideal:
     def groebner(self, order=DEFAULT_ORDER):
         gb = self._gb.get(order)
         if gb is None:
-            gb = GroebnerBasis(self.ring, order, buchberger(self.gens, order))
-            self._gb[order] = gb
+            run = buchberger(_pack(self.ring, order, self.gens), order)
+            gb = self._gb[order] = GroebnerBasis(self.ring, order, run)
         return gb
 
     def is_homogeneous(self):
@@ -902,8 +1088,17 @@ def ideal_product(a, b):
     if ea is not None and eb is not None:
         exps = [tuple(map(add, e, f)) for e in ea for f in eb]
         return Ideal(a.ring, _monomials(a.ring, minimal_exponents(exps)))
-    forms = _distinct_forms(_product_forms(a.ring, a.gens, b.gens, DEFAULT_ORDER))
-    return Ideal(a.ring, _interreduce_forms(a.ring, forms, DEFAULT_ORDER))
+    ring = a.ring
+    top = max(map(total_degree, a.gens), default=0)
+    top += max(map(total_degree, b.gens), default=0)
+    layout = _layout(ring.nvars, DEFAULT_ORDER, top)
+    p = _char(ring)
+    left = [_nums(f, layout) for f in a.gens]
+    right = [_nums(g, layout) for g in b.gens]
+    forms = [
+        _form(_multiply(f, g, layout, p), ring.field) for f in left for g in right
+    ]
+    return Ideal(ring, _interreduce_forms(ring, _distinct_forms(forms), layout))
 
 
 def ideal_power(a, n):
@@ -927,22 +1122,20 @@ def ideal_power(a, n):
 _INTERREDUCE_NF_CAP = 300
 
 
-def _interreduce_forms(ring, forms, order):
+def _interreduce_forms(ring, forms, layout):
     # trim distinct integer forms without changing the ideal they span:
     # each is normal-formed against those already kept
     if len(forms) > _INTERREDUCE_NF_CAP:
-        return [_monic_poly(ring, *form) for form in forms]
-    forms.sort(key=lambda form: order.key(form[0]))
+        return _polys(ring, layout, forms)
+    forms.sort(key=itemgetter(0))
     p = _char(ring)
     kept = []
-    table = DivisorTable((), order)
-    for lead_exps, lead, tail in forms:
-        work = {e: -c for e, c in tail}
-        work[lead_exps] = lead
-        r, _ = _reduce(work, 1, table, p)
+    table = _table(ring, layout)
+    for form in forms:
+        r, _ = _reduce(_terms(form), 1, table, p)
         if r:
-            kept.append(_monic_poly(ring, *_add_remainder(table, r, ring.field)))
-    return kept
+            kept.append(_add_remainder(table, r, ring.field))
+    return _polys(ring, layout, kept)
 
 
 def _fresh_name(taken, base):
@@ -976,7 +1169,7 @@ def intersection(a, b):
     ea = _monomial_exps(a.gens)
     eb = _monomial_exps(b.gens)
     if ea is not None and eb is not None:
-        lcms = [_exps_lcm(e, f) for e in ea for f in eb]
+        lcms = [tuple(map(max, e, f)) for e in ea for f in eb]
         return Ideal(ring, _monomials(ring, minimal_exponents(lcms)))
     tname = _fresh_name(ring.variables, "t")
     ext = PolyRing((tname,) + ring.variables, ring.field)
@@ -1056,12 +1249,12 @@ def _colon(a, b):
 
 
 def _syzygy_colon(gb, outside):
-    # the reduced basis of a : (g_1, ..., g_k), a with reduced basis gb:
-    # the e_0-elements of the reduced basis of the module spanned by
-    # e_0 + sum e_i·g_i and the e_i·gb, in the encoding the module
-    # docstring describes
+    # the packed reduced basis of a : (g_1, ..., g_k), a with reduced
+    # basis gb: the e_0-elements of the reduced basis of the module
+    # spanned by e_0 + sum e_i·g_i and the e_i·gb, in the encoding the
+    # module docstring describes
     ring = gb.ring
-    n = ring.nvars
+    run = gb.run
     k = len(outside)
     taken = set(ring.variables)
     names = []
@@ -1069,20 +1262,51 @@ def _syzygy_colon(gb, outside):
         names.append(_fresh_name(taken, f"e{i}"))
         taken.add(names[-1])
     ext = PolyRing(tuple(names[1:]) + (names[0],) + ring.variables, ring.field)
-    comps = ext.gens()[: k + 1]
-    e0 = comps[k]
-    gens = [e * _lift(h, ext, k + 1, n) for e in comps for h in gb.polys]
-    gens.append(
-        sum((e * _lift(g, ext, k + 1, n) for e, g in zip(comps, outside)), e0)
-    )
-    run = buchberger(
-        gens, BlockElimination(k), _reduced=len(gens) - 1, _module=k + 1
-    )
-    return [
-        Polynomial(ring, {e[k + 1:]: c for e, c in p.terms.items()})
-        for p in run
-        if not any(any(e[:k]) for e in p.terms)
+    # grevlex leads ascend in degree and lead their elements
+    top = max([total_degree(g) for g in outside] + [sum(gb.lead_exps[-1])])
+    layout = _layout(ext.nvars, BlockElimination(k), top + 1)
+    comps = layout.units[: k + 1]  # e_1, ..., e_k, e_0
+    units = layout.units[k + 1:]
+    unpack = run.layout.unpack
+
+    def lift(m):
+        return sum(map(mul, unpack(m), units))
+
+    lifted = [
+        (lift(lead), L, [(lift(e), c) for e, c in tail]) for lead, L, tail in run.forms
     ]
+    forms = [
+        (lead + u, L, tuple((e + u, c) for e, c in tail))
+        for u in comps
+        for lead, L, tail in lifted
+    ]
+    p = _char(ring)
+    den = 1 if p else lcm(*(c.denominator for g in outside for c in g.terms.values()))
+    nums = {comps[k]: den}
+    for u, g in zip(comps, outside):
+        for e, c in g.terms.items():
+            nums[sum(map(mul, e, units)) + u] = c if p else c.numerator * (
+                den // c.denominator
+            )
+    forms.append(_form(nums, ring.field))
+    module = buchberger(
+        _Packed(ext, layout, forms),
+        BlockElimination(k),
+        _reduced=len(forms) - 1,
+        _module=k + 1,
+    )
+    # an element whose lead holds e_0 lies in e_0 whole; drop e_0
+    guards = layout.guards
+    pack = run.layout.pack
+
+    def drop(m):
+        return pack(layout.unpack(m)[k + 1:])
+
+    return _Packed(ring, run.layout, [
+        (drop(lead), L, tuple((drop(e), c) for e, c in tail))
+        for lead, L, tail in module.forms
+        if ((lead | guards) - comps[k]) & guards == guards
+    ])
 
 
 def _has_nonzerodivisor(gb, polys):
@@ -1091,11 +1315,20 @@ def _has_nonzerodivisor(gb, polys):
     # degree d the sequence 0 -> R/(a:g)(-d) -> R/a -> R/(a+g) -> 0 is
     # exact, so N_{a+(g)} = N_a - s^d·N_{a:g}; as a lies in a : g, g is
     # a nonzerodivisor exactly when N_{a+(g)} = (1 - s^d)·N_a.  The
-    # basis of a + (g) grows from gb, which is reduced already.
+    # basis of a + (g) grows from the forms of gb, which is reduced
+    # already.  A g with g^2 in a is a zero divisor, and runs no basis.
     num = _numerator(gb.lead_exps)
+    run = gb.run
+    layout = run.layout
     for g in polys:
-        grown = buchberger(gb.polys + (g,), gb.order, _reduced=len(gb))
-        got = _numerator(GroebnerBasis(gb.ring, gb.order, grown).lead_exps)
+        if _square_in(gb, g):
+            continue
+        grown = buchberger(
+            _Packed(gb.ring, layout, run.forms + [_poly_form(g, layout)]),
+            gb.order,
+            _reduced=len(run),
+        )
+        got = _numerator([layout.unpack(form[0]) for form in grown.forms])
         shifted = [0] * total_degree(g) + num
         want = [c - s for c, s in zip_longest(num, shifted, fillvalue=0)]
         if all(c == w for c, w in zip_longest(got, want, fillvalue=0)):
@@ -1103,11 +1336,27 @@ def _has_nonzerodivisor(gb, polys):
     return False
 
 
+def _square_in(gb, g):
+    # does g^2 lie in the ideal of the reduced basis gb?  Squared on the
+    # int coefficients of g, which leave membership as it is
+    layout = gb.run.layout
+    p = _char(gb.ring)
+    nums = _nums(g, layout)
+    return not _reduce(_multiply(nums, nums, layout, p), 1, gb.table, p)[0]
+
+
 def _reduced_multiple(gb, g):
     # the reduced basis of g·a, from the reduced basis gb of a: the
     # products g·h are a Groebner basis already, with minimal leads
-    forms = list(_product_forms(gb.ring, (g,), gb.polys, gb.order))
-    return _reduce_basis(gb.ring, forms, gb.order, {})
+    run = gb.run
+    layout = run.layout
+    p = _char(gb.ring)
+    nums = _nums(g, layout)
+    forms = [
+        _form(_multiply(nums, _terms(form), layout, p), gb.ring.field)
+        for form in run.forms
+    ]
+    return _polys(gb.ring, layout, _reduce_basis(gb.ring, forms, layout))
 
 
 def saturation(a, b, budget=None):
@@ -1161,8 +1410,9 @@ def eliminate(a, drop):
 def radical_membership(f, a):
     """Is f in the radical of a·R_m?
 
-    Exactly when a : f^∞ ⊄ m, that is, when some generator of
-    (a + (1 - z·f)) ∩ k[x] = a : f^∞ has a nonzero constant term.
+    Yes when f or f^2 lies in a.  Otherwise exactly when a : f^∞ ⊄ m,
+    that is, when some generator of (a + (1 - z·f)) ∩ k[x] = a : f^∞
+    has a nonzero constant term.
     """
     ring = a.ring
     if isinstance(f, (int, Fraction)):
@@ -1171,7 +1421,7 @@ def radical_membership(f, a):
         raise RingMismatchError(f"{ring!r} vs {f.ring!r}")
     if f.is_zero:
         return True
-    if a.contains(f):
+    if a.contains(f) or _square_in(a.groebner(), f):
         return True
     zname = _fresh_name(ring.variables, "z")
     ext = PolyRing(ring.variables + (zname,), ring.field)

@@ -43,12 +43,13 @@ from .errors import (
 from .groebner import (
     Ideal,
     _fresh_name,
+    _pack,
     _numerator,
     buchberger,
     ideal_sum,
     minimal_exponents,
 )
-from .ring import DEFAULT_ORDER, PolyRing, Polynomial, leading_term
+from .ring import DEFAULT_ORDER, PolyRing, Polynomial
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,8 @@ def _lazard_leads(a):
         gens.append(
             Polynomial(ext, {(d - sum(e),) + e: c for e, c in f.terms.items()})
         )
-    leads = [leading_term(g, _LAZARD)[0][1:] for g in buchberger(gens, _LAZARD)]
+    run = buchberger(_pack(ext, _LAZARD, gens), _LAZARD)
+    leads = [run.layout.unpack(form[0])[1:] for form in run.forms]
     return tuple(minimal_exponents(leads))
 
 

@@ -37,6 +37,7 @@ from .groebner import (
     Ideal,
     _fresh_name,
     _lift,
+    _pack,
     buchberger,
     colon,
     eliminate,
@@ -128,7 +129,8 @@ def _step_reaches(step, target):
     if not (step.is_homogeneous() and target.is_homogeneous()):
         return _inside_locally(step, target)
     top = max(map(total_degree, target.gens), default=0)
-    basis = buchberger(step.gens, DEFAULT_ORDER, _degree=top)
+    gens = _pack(step.ring, DEFAULT_ORDER, step.gens)
+    basis = buchberger(gens, DEFAULT_ORDER, _degree=top)
     gb = GroebnerBasis(step.ring, DEFAULT_ORDER, basis)
     return all(gb.contains(g) for g in target.gens)
 

@@ -27,6 +27,7 @@ from reeslab import (
     leading_term,
     BlockElimination,
     DivisorTable,
+    ExponentOverflowError,
     GrevLex,
     GroebnerBasis,
     Ideal,
@@ -56,6 +57,7 @@ from reeslab import (
     ZeroPolynomialError,
 )
 import reeslab.groebner as groebner_module
+from reeslab.lengths import _LAZARD
 
 R = PolyRing(("x", "y"), RationalField())
 x, y = R.gens()
@@ -274,6 +276,16 @@ def test_s_polynomial_matches_product_definition():
         assert s_polynomial(f, f, order).is_zero
 
 
+def _entry_facts(table):
+    # the entries of a divisor table with their monomials unpacked:
+    # (lead degree, lead exponents, index, L, tail, kappa)
+    unpack = table.layout.unpack
+    return [
+        (deg, unpack(lead), idx, L, tuple((unpack(e), c) for e, c in tail), kappa)
+        for deg, lead, idx, L, tail, kappa in table.entries
+    ]
+
+
 def test_divisor_table_grown_one_by_one_keeps_its_order():
     # buchberger adds each new basis element to its table; the scan
     # order, and so every remainder and basis, must be that of a table
@@ -295,7 +307,12 @@ def test_divisor_table_grown_one_by_one_keeps_its_order():
         for g in polys:
             assert grown.add(g) == leading_term(g, order)[0]
         whole = DivisorTable(polys, order)
-        assert [e[:4] for e in grown.entries] == [e[:4] for e in whole.entries]
+        facts = [_entry_facts(table) for table in (grown, whole)]
+        assert [e[:3] for e in facts[0]] == [e[:3] for e in facts[1]]
+        keys = [order.key(e[1]) for e in facts[1]]
+        assert [(e[0], k) for e, k in zip(facts[1], keys)] == sorted(
+            (e[0], k) for e, k in zip(facts[1], keys)
+        )
         assert grown.size == whole.size == len(polys)
 
 
@@ -326,14 +343,14 @@ def test_divisor_table_refuses_zero_and_other_rings():
 
 def test_divisor_table_integer_form_is_primitive_with_positive_lead():
     # -2x + 4y is stored as g~ = x - 2y = kappa*g with kappa = -1/2
-    (entry,) = DivisorTable([-2 * x + 4 * y]).entries
-    assert entry[3] == (1, 0)
-    assert entry[5:] == (1, (((0, 1), 2),), Fraction(-1, 2))
+    (entry,) = _entry_facts(DivisorTable([-2 * x + 4 * y]))
+    assert entry[1] == (1, 0)
+    assert entry[3:] == (1, (((0, 1), 2),), Fraction(-1, 2))
     # over GF(p) the form is monic, with its tail read as residues
     Rp = PolyRing(("x", "y"), PrimeField(7))
     xp, yp = Rp.gens()
-    (entry,) = DivisorTable([3 * xp + yp]).entries
-    assert entry[5:] == (1, (((0, 1), 2),), 5)
+    (entry,) = _entry_facts(DivisorTable([3 * xp + yp]))
+    assert entry[3:] == (1, (((0, 1), 2),), 5)
 
 
 def textbook_buchberger(gens, order):
@@ -421,6 +438,134 @@ def test_buchberger_matches_textbook_buchberger():
         expected = textbook_buchberger(gens, order)
         assert buchberger(gens, order) == expected
         assert Ideal(ring, gens).groebner(order).polys == tuple(expected)
+
+
+def _e_degree(g, k):
+    # the degree of g in the first k variables, when every term has one
+    degrees = {sum(e[:k]) for e in g.terms}
+    return degrees.pop() if len(degrees) == 1 else None
+
+
+def test_kernel_runs_match_textbook_buchberger():
+    # the private runs against the reference basis of the same span:
+    # a degree cap keeps the low-degree part of the reference basis, a
+    # reduced prefix changes nothing, and a module run returns the
+    # elements linear in the components of the reference basis, which
+    # holds every element of the module's reduced basis (the ideal is
+    # graded by the degree in the components)
+    rng = random.Random(73)
+    names = ("x", "y", "z")
+    fields = (RationalField(), PrimeField(32003))
+    for trial in range(48):
+        field = fields[trial % 2]
+        nvars = 2 + trial // 2 % 2
+        ring = PolyRing(names[:nvars], field)
+        order = _table_orders(nvars)[trial // 4 % 4]
+        while True:
+            gens = [
+                _homogeneous_generator(rng, ring, rng.randint(1, 3))
+                for _ in range(rng.randint(2, 3))
+            ]
+            if not all(g.is_monomial for g in gens):
+                break
+        expected = textbook_buchberger(gens, order)
+        for cap in range(max(map(total_degree, expected)) + 1):
+            assert buchberger(gens, order, _degree=cap) == [
+                g for g in expected if total_degree(g) <= cap
+            ]
+        extra = [
+            _positive_degree_generator(rng, ring, order, rng.choice([1, -2]), 2)
+        ]
+        assert buchberger(expected + extra, order, _reduced=len(expected)) == (
+            textbook_buchberger(expected + extra, order)
+        )
+    # modules in two components, e1 above e0, over x and y
+    for trial in range(24):
+        field = fields[trial % 2]
+        base = PolyRing(("x", "y"), field)
+        ring = PolyRing(("e1", "e0", "x", "y"), field)
+        e1, e0 = ring.gens()[:2]
+        order = BlockElimination(1)
+
+        def part():
+            g = _positive_degree_generator(rng, base, GrevLex(), 1, 2)
+            return Polynomial(ring, {(0, 0) + e: c for e, c in g.terms.items()})
+
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            choice = rng.random()
+            if choice < 0.3:
+                gens.append(e1 * part())
+            elif choice < 0.6:
+                gens.append(e0 * part())
+            else:
+                gens.append(e1 * part() + e0 * part())
+        got = buchberger(gens, order, _module=2)
+        assert all(_e_degree(g, 2) == 1 for g in got)
+        expected = [
+            g for g in textbook_buchberger(gens, order) if _e_degree(g, 2) == 1
+        ]
+        assert got == expected
+
+
+def test_packed_keys_are_linear_and_ordered():
+    # the one-int key of every order in the package and the references:
+    # additive, ordered as the key tuple, and unpacked to the exponents;
+    # the guard test is divisibility, and the packed lcm the lcm
+    rng = random.Random(79)
+    orders = [
+        GrevLex(),
+        Lex(),
+        BlockElimination(1),
+        BlockElimination(2),
+        _LAZARD,
+        WeightedGrevLex((2, 1, 1)),
+        WeightedGrevLex((1, 3, 2)),
+    ]
+    for order in orders:
+        layout = groebner_module._layout(3, order)
+        pack = layout.pack
+        guards = layout.guards
+        for _ in range(200):
+            a, b = (
+                tuple(rng.choice((0, 0, 1, 2, 5, 40, 2**20)) for _ in range(3))
+                for _ in range(2)
+            )
+            total = tuple(map(sum, zip(a, b)))
+            assert pack(a) + pack(b) == pack(total)
+            assert (pack(a) < pack(b)) == (order.key(a) < order.key(b))
+            assert layout.unpack(pack(a)) == a
+            divides = all(p <= q for p, q in zip(a, b))
+            assert (((pack(b) | guards) - pack(a)) & guards == guards) == divides
+            top = tuple(map(max, a, b))
+            assert layout.lcm(pack(a), pack(b)) == pack(top) & layout.exps
+            assert layout.key(layout.lcm(pack(a), pack(b))) == pack(top)
+
+
+def test_exponents_past_the_field_width_compute_or_refuse():
+    # inputs of degree 2^40 widen the fields; a Lex run whose remainders
+    # outgrow the fields of its inputs raises the typed error, never wraps
+    big = 2**40
+    for field in (RationalField(), PrimeField(32003)):
+        ring = PolyRing(("x", "y"), field)
+        u, v = ring.gens()
+        gens = [u**big * v - 1, v**2 - u]
+        assert buchberger(gens) == textbook_buchberger(gens, GrevLex())
+        _, rem = divide(u**big * v**3, [v**2 - u, u**big * v - 1])
+        assert rem == textbook_divide(
+            u**big * v**3, [v**2 - u, u**big * v - 1], GrevLex()
+        )[1]
+        # 31 value bits hold y^(3·2^29), not y^(8·2^29)
+        k = 2**29
+        gens = [u - v**k, u**3]
+        assert buchberger(gens, Lex()) == textbook_buchberger(gens, Lex())
+        with pytest.raises(ExponentOverflowError):
+            buchberger([u - v**k, u**8], Lex())
+        with pytest.raises(ExponentOverflowError):
+            divide(u**8, [u - v**k], Lex())
+        # a table fit to its divisors refuses a dividend past its fields
+        with pytest.raises(ExponentOverflowError):
+            divide(u**big, [u - v])
 
 
 def _random_monomial_exps(rng, nvars, count, max_exp):
@@ -989,3 +1134,118 @@ def test_colon_memo_returns_the_same_ideal():
     assert colon(a, Ideal(R3, (y3, z3))) is first
     # the key is the divisor's generator list
     assert colon(a, Ideal(R3, (z3, y3))) is not first
+
+
+def test_colon_work_is_pinned(monkeypatch):
+    # work counts that time alone would show: the S-polynomials the pair
+    # loops reduce, with the Gebauer-Möller criteria, 11 for the basis of
+    # a below (14 without the M criterion).  The syzygy run of one
+    # non-graded colon reduces 22; without the e_0·h elements it reduces
+    # more than 60, and over Q it took 106 s, not 0.01 s, so the count
+    # stops the run as soon as it passes 30.  On J^2 : I, the generators
+    # of I that lie in J have squares in J^2, and only z runs the
+    # nonzerodivisor certificate; with the basis of J^2 the colon
+    # reduces 2 (6 without M)
+    reduce_ = groebner_module._reduce
+    pair_loop = groebner_module._pair_loop
+    run = groebner_module.buchberger
+    inside = []
+    plain = []
+    reductions = []
+    certificates = []
+
+    def counting_loop(*args):
+        inside.append(args[-1])  # the module rank, 0 outside syzygy runs
+        try:
+            return pair_loop(*args)
+        finally:
+            inside.pop()
+
+    def counting_reduce(*args, **kwargs):
+        if inside and inside[-1]:
+            reductions.append(True)
+            assert len(reductions) <= 30, "syzygy run past 30 reductions"
+        elif inside:
+            plain.append(True)
+        return reduce_(*args, **kwargs)
+
+    def counting_run(gens, *args, **kwargs):
+        if "_reduced" in kwargs and "_module" not in kwargs:
+            certificates.append(True)
+        return run(gens, *args, **kwargs)
+
+    monkeypatch.setattr(groebner_module, "_pair_loop", counting_loop)
+    monkeypatch.setattr(groebner_module, "_reduce", counting_reduce)
+    monkeypatch.setattr(groebner_module, "buchberger", counting_run)
+    for field in (PrimeField(32003), RationalField()):
+        ring = PolyRing(("x", "y", "z"), field)
+        u, v, w = ring.gens()
+        a = Ideal(
+            ring, (u**3 - 2 * v * w, -(v**3) - v - 2 * w, u**3 + 3 * u * w + 3 * v)
+        )
+        g = -u * w + 3
+        del plain[:]
+        a.groebner()
+        assert len(plain) == 11
+        del reductions[:]
+        got = colon(a, Ideal(ring, (g,)))
+        assert len(reductions) == 22
+        assert got.gens == elimination_colon(a, Ideal(ring, (g,)))
+        outer = Ideal(ring, (u**2 + v**2, u * v, w))
+        square = ideal_power(Ideal(ring, (u**2 + v**2, u * v)), 2)
+        del certificates[:], plain[:]
+        got = colon(square, outer)
+        assert certificates == [True]
+        assert len(plain) == 2
+        assert got.gens == elimination_colon(square, outer)
+
+
+def test_radical_membership_matches_the_elimination(monkeypatch):
+    # the power witness f^2 in a against the elimination alone, on graded
+    # and non-graded pairs; the witness decides a share of the pairs, and
+    # those run no elimination
+    rng = random.Random(83)
+    decided = 0
+    eliminations = []
+    run = groebner_module.eliminate
+
+    def counting(*args):
+        eliminations.append(True)
+        return run(*args)
+
+    monkeypatch.setattr(groebner_module, "eliminate", counting)
+    for trial in range(48):
+        field = (RationalField(), PrimeField(32003))[trial % 2]
+        ring = PolyRing(("x", "y", "z")[: 2 + trial // 2 % 2], field)
+        graded = trial // 4 % 2 == 0
+        h = _homogeneous_generator(rng, ring, 1) or ring.gens()[0]
+        gens = [h**2] if trial % 3 else []
+        for _ in range(rng.randint(1, 2)):
+            g = _homogeneous_generator(rng, ring, rng.randint(1, 3))
+            if not graded and rng.random() < 0.6:
+                g = g + rng.choice((-1, 2)) * ring.gens()[-1] ** 2
+                if rng.random() < 0.3:
+                    g = g + 1
+            gens.append(g)
+        a = Ideal(ring, gens)
+        for f in (h, h + ring.gens()[-1], _homogeneous_generator(rng, ring, 2)):
+            if f.is_zero:
+                continue
+            zname = "z" if "z" not in ring.variables else "t"
+            ext = PolyRing(ring.variables + (zname,), field)
+            lift = [
+                Polynomial(ext, {e + (0,): c for e, c in p.terms.items()})
+                for p in list(a.gens) + [f]
+            ]
+            sat = eliminate(
+                Ideal(ext, lift[:-1] + [ext.one - ext.var(zname) * lift[-1]]),
+                [zname],
+            )
+            origin = (0,) * ring.nvars
+            want = a.contains(f) or any(origin in g.terms for g in sat.gens)
+            del eliminations[:]
+            assert radical_membership(f, a) == want, (f, gens)
+            if not a.contains(f) and a.contains(f * f):
+                decided += 1
+                assert not eliminations, (f, gens)
+    assert decided >= 10, decided
