@@ -45,9 +45,7 @@ from .groebner import (
     ideal_power,
     ideal_product,
     ideal_sum,
-    intersection,
     radical_membership,
-    saturation,
     unit_ideal,
     zero_ideal,
 )

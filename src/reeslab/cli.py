@@ -5,9 +5,9 @@ check failed, 2 the input could not be used at all.
 
 Each invocation runs its tasks serially under one immutable budget,
 dropped when the command returns.  REESLAB_BUDGET sets its caps: a bare
-integer (the basis size) or pairs such as
-`basis=8000,pairs=500000,saturation=80`, each a positive
-integer.  Command line flags win over the environment.
+integer (the basis size) or pairs such as `basis=8000,pairs=500000`,
+each a positive integer, each key at most once.  Command line flags
+win over the environment.
 """
 
 from __future__ import annotations
@@ -24,11 +24,7 @@ from .groebner import _ACTIVE_BUDGET, BUDGET
 from .runner import run_session
 from .session import _TASK_OPTIONS, Task, parse_session
 
-_BUDGET_KEYS = {
-    "basis": "max_basis",
-    "pairs": "max_pairs",
-    "saturation": "saturation_cap",
-}
+_BUDGET_KEYS = {"basis": "max_basis", "pairs": "max_pairs"}
 
 
 def _apply_budget_env(text):
@@ -42,11 +38,15 @@ def _apply_budget_env(text):
     for part in text.split(","):
         key, _, value = part.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _BUDGET_KEYS or not value.isdecimal() or int(value) < 1:
+        if (
+            key not in _BUDGET_KEYS
+            or _BUDGET_KEYS[key] in caps
+            or not value.isdecimal()
+            or int(value) < 1
+        ):
             raise ValueError(
-                f"bad REESLAB_BUDGET entry {part!r}; use "
-                "basis=N,pairs=N,saturation=N or a bare "
-                "integer, each N a positive integer"
+                f"bad REESLAB_BUDGET entry {part!r}; use basis=N,pairs=N, "
+                "each key once, or a bare integer, each N a positive integer"
             )
         caps[_BUDGET_KEYS[key]] = int(value)
     return replace(BUDGET, **caps)

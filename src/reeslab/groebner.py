@@ -125,12 +125,21 @@ of M are the reduced basis of a : b.
   queued.
 
 The generator lists are those of the per-generator elimination
-construction, which intersected the pieces (a ∩ (g))/g.  Reduced bases
-are unique, so two or more outside generators give the reduced basis of
-a : b, as the eliminated meets did, and one outside g gives the reduced
-basis of g·(a : g) divided by g, as its single piece did.  Three exact
-shortcuts run in front of the syzygy run and return the same lists.
+construction, which met the pieces (a ∩ (g))/g in b's order.  Reduced
+bases are unique, so two or more outside generators give the reduced
+basis of a : b, as the eliminated meets did, and one outside g gives
+the reduced basis of g·(a : g) divided by g, as its single piece did.
+Three exact shortcuts run in front of the syzygy run, in this order,
+and return the same lists.
 
+- Constants.  A constant generator outside a gives a : b = a; alone it
+  gives a's own generators divided by it, since a ∩ (g) is a.
+- Monomial ideals.  When a and every outside generator are single
+  terms, the piece a : (c·x^m) is the minimal max(e - m, 0) over the
+  exponents e of a, with coefficient 1/c (Cox-Little-O'Shea, ch. 4
+  §4), and several pieces meet in their minimal lcms, with
+  coefficient 1.  Both run on exponent tuples, with no syzygy run and
+  no division.
 - Nonzerodivisors.  For homogeneous a and b, a generator g of degree d
   is a nonzerodivisor modulo a exactly when the Hilbert numerators
   satisfy N_{a+(g)} = (1 - s^d)·N_a: the sequence
@@ -141,11 +150,7 @@ shortcuts run in front of the syzygy run and return the same lists.
   a, so a zero divisor, and runs no basis.  Then a : b = a.  Reading
   a Hilbert series to spare Groebner work follows Traverso, "Hilbert
   functions and the Buchberger algorithm", J. Symbolic Comput. 22
-  (1996).  A constant generator outside a gives a : b = a as well;
-  alone it gives a's own generators divided by it, since a ∩ (g) is a.
-- Monomial ideals meet in their minimal lcms.  So a monomial piece
-  a : (c·x^m) comes out as the minimal max(e - m, 0), with
-  coefficient 1/c, and monomial pieces meet with no Groebner run.
+  (1996).
 - Each colon is memoized on its dividend's `_cache`, keyed by the
   divisor's generators, like the powers.
 """
@@ -185,7 +190,6 @@ class ResourceBudget:
 
     max_basis: int = 5000
     max_pairs: int = 200000
-    saturation_cap: int = 50
 
 
 BUDGET = ResourceBudget()
@@ -1148,37 +1152,10 @@ def _fresh_name(taken, base):
     return name
 
 
-def _lift(f, ext, offset, nold):
-    # embed f, placing old variable i at position offset + i of ext
-    pre = (0,) * offset
-    post = (0,) * (ext.nvars - offset - nold)
-    return Polynomial(ext, {pre + e + post: c for e, c in f.terms.items()})
-
-
-def intersection(a, b):
-    """a ∩ b: the minimal lcms of two monomial ideals, else the
-    auxiliary-variable elimination construction."""
-    _same_ring(a, b)
-    ring = a.ring
-    if a.is_zero or b.is_zero:
-        return zero_ideal(ring)
-    if a.is_unit():
-        return b
-    if b.is_unit():
-        return a
-    ea = _monomial_exps(a.gens)
-    eb = _monomial_exps(b.gens)
-    if ea is not None and eb is not None:
-        lcms = [tuple(map(max, e, f)) for e in ea for f in eb]
-        return Ideal(ring, _monomials(ring, minimal_exponents(lcms)))
-    tname = _fresh_name(ring.variables, "t")
-    ext = PolyRing((tname,) + ring.variables, ring.field)
-    n = ring.nvars
-    t = ext.var(tname)
-    one_minus_t = ext.one - t
-    gens = [t * _lift(f, ext, 1, n) for f in a.gens]
-    gens += [one_minus_t * _lift(g, ext, 1, n) for g in b.gens]
-    return eliminate(Ideal(ext, gens), [tname])
+def _lift(f, ext):
+    # embed f in ext, whose first variables are those of f's ring
+    post = (0,) * (ext.nvars - f.ring.nvars)
+    return Polynomial(ext, {e + post: c for e, c in f.terms.items()})
 
 
 def _quotients(polys, g):
@@ -1187,9 +1164,7 @@ def _quotients(polys, g):
     for h in polys:
         qs, rem = divide(h, [g], with_quotients=True)
         if not rem.is_zero:
-            raise ArithmeticError(
-                "member of an intersection with (g) must divide by g"
-            )
+            raise ArithmeticError("a multiple of g must divide by g")
         out.append(qs[0])
     return out
 
@@ -1218,16 +1193,12 @@ def _colon(a, b):
     outside = [g for g in b.gens if not a.contains(g)]
     if not outside:
         return unit_ideal(ring)
-    if _monomial_exps(a.gens + tuple(outside)) is not None:
-        # monomial pieces a : (g) meet in their minimal lcms
-        result = None
-        for g in outside:
-            meet = intersection(a, Ideal(ring, (g,)))
-            piece = Ideal(ring, _quotients(meet.gens, g))
-            result = piece if result is None else intersection(result, piece)
-        return result
     gb = a.groebner()
     constant = any(not total_degree(g) for g in outside)
+    if not constant and _monomial_exps(outside) is not None:
+        exps = _monomial_exps(a.gens)
+        if exps is not None:
+            return _monomial_colon(ring, exps, outside)
     if constant or (
         a.is_homogeneous()
         and b.is_homogeneous()
@@ -1246,6 +1217,23 @@ def _colon(a, b):
         result = Ideal(ring, _quotients(meet, g))
     result._gb[DEFAULT_ORDER] = basis
     return result
+
+
+def _monomial_colon(ring, exps, outside):
+    # a : (c·x^m) is the minimal max(e - m, 0) over the exponents e of
+    # a, with coefficient 1/c; several pieces meet in their minimal
+    # lcms, with coefficient 1
+    meet = None
+    for g in outside:
+        ((m, c),) = g.terms.items()
+        piece = _minimal([tuple(map(sub, map(max, e, m), m)) for e in exps])
+        meet = piece if meet is None else _minimal(
+            [tuple(map(max, u, v)) for u in meet for v in piece]
+        )
+    coeff = ring.field.invert(c) if len(outside) == 1 else ring.field.one
+    return Ideal(
+        ring, [Polynomial(ring, {e: coeff}) for e in minimal_exponents(meet)]
+    )
 
 
 def _syzygy_colon(gb, outside):
@@ -1359,22 +1347,6 @@ def _reduced_multiple(gb, g):
     return _polys(gb.ring, layout, _reduce_basis(gb.ring, forms, layout))
 
 
-def saturation(a, b, budget=None):
-    """(a : b^infinity, number of colon steps until the chain is stable)."""
-    budget = budget or _ACTIVE_BUDGET.get()
-    current = a
-    for steps in range(budget.saturation_cap + 1):
-        nxt = colon(current, b)
-        # current lies in current : b, so only the other inclusion can fail
-        if current.contains_ideal(nxt):
-            return current, steps
-        current = nxt
-    raise ResourceBudgetError(
-        f"saturation not stable within {budget.saturation_cap} steps; "
-        "raise REESLAB_BUDGET saturation=N"
-    )
-
-
 def eliminate(a, drop):
     """Generators of a ∩ K[kept variables], in the smaller ring."""
     ring = a.ring
@@ -1425,10 +1397,9 @@ def radical_membership(f, a):
         return True
     zname = _fresh_name(ring.variables, "z")
     ext = PolyRing(ring.variables + (zname,), ring.field)
-    n = ring.nvars
     z = ext.var(zname)
-    gens = [_lift(g, ext, 0, n) for g in a.gens]
-    gens.append(ext.one - z * _lift(f, ext, 0, n))
-    origin = (0,) * n
+    gens = [_lift(g, ext) for g in a.gens]
+    gens.append(ext.one - z * _lift(f, ext))
+    origin = (0,) * ring.nvars
     sat = eliminate(Ideal(ext, gens), [zname])
     return any(origin in g.terms for g in sat.gens)

@@ -203,7 +203,7 @@ def analytic_spread(inner):
     n = ring.nvars
     s = ext.var(sname)
     rels = [
-        ext.var(names[n + j]) - s * _lift(g, ext, 0, n)
+        ext.var(names[n + j]) - s * _lift(g, ext)
         for j, g in enumerate(gens)
     ]
     cone = eliminate(Ideal(ext, rels), [sname])

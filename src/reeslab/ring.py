@@ -293,7 +293,9 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        # the exponents alone: equal polynomials share them, and no
+        # coefficient is hashed
+        return hash(frozenset(self.terms))
 
     def __neg__(self):
         neg = self.ring.field.neg

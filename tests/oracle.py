@@ -57,28 +57,6 @@ def colon(a, b):
     return minimalize(result)
 
 
-def colon_maximal(a, nvars):
-    """Colon by the ideal of all the variables."""
-    units = [
-        tuple(1 if j == i else 0 for j in range(nvars))
-        for i in range(nvars)
-    ]
-    return colon(a, units)
-
-
-def saturate(a, nvars, cap=60):
-    """Iterate colon by the variable ideal; (stable gens, strict steps)."""
-    current = minimalize(a)
-    steps = 0
-    for _ in range(cap):
-        bigger = colon_maximal(current, nvars)
-        if bigger == current:
-            return current, steps
-        current = bigger
-        steps += 1
-    raise RuntimeError("saturation did not stabilize within the cap")
-
-
 def dimension(exps, nvars):
     """Dimension of R/(monomials exps): the largest set of variables
     that no generator lives on.  A multiple's support contains its

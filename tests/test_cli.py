@@ -49,10 +49,9 @@ def test_budget_env_bare_integer():
 
 
 def test_budget_env_pairs():
-    budget = _apply_budget_env("basis=11,pairs=22,saturation=44")
+    budget = _apply_budget_env("basis=11,pairs=22")
     assert budget.max_basis == 11
     assert budget.max_pairs == 22
-    assert budget.saturation_cap == 44
 
 
 def test_budget_env_rejects_garbage():
@@ -211,6 +210,19 @@ def test_run_env_budget_rejects_truncation(tmp_path, capsys, monkeypatch):
     src.write_text(GOOD_SESSION)
     assert main(["run", str(src)]) == 2
     assert "'truncation=60'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["basis=5,basis=7", "pairs=9, pairs=9"])
+def test_run_env_budget_rejects_a_repeated_key(
+    tmp_path, capsys, monkeypatch, value
+):
+    # a second value for one key would silently replace the first
+    monkeypatch.setenv("REESLAB_BUDGET", value)
+    src = tmp_path / "s.txt"
+    src.write_text(GOOD_SESSION)
+    assert main(["run", str(src)]) == 2
+    repeated = value.split(",")[1]
+    assert f"bad REESLAB_BUDGET entry {repeated!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["\u00b2", "basis=\u00b2", "pairs=1\u00b2"])

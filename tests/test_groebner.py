@@ -14,12 +14,10 @@ from oracle import (
     exps_to_ideal,
     ideal_to_exps,
     interreduce,
-    intersect as oracle_intersect,
     minimalize,
     monic,
     random_exps,
     s_polynomial,
-    saturate as oracle_saturate,
     WeightedGrevLex,
 )
 
@@ -47,10 +45,8 @@ from reeslab import (
     ideal_power,
     ideal_product,
     ideal_sum,
-    intersection,
     poly_str,
     radical_membership,
-    saturation,
     total_degree,
     unit_ideal,
     zero_ideal,
@@ -701,14 +697,6 @@ def test_budget_error():
     tiny_pairs = ResourceBudget(max_basis=5000, max_pairs=0)
     with pytest.raises(ResourceBudgetError, match="REESLAB_BUDGET pairs="):
         buchberger((x**2 - y, x * y - 1), budget=tiny_pairs)
-    # this saturation needs one colon step
-    no_steps = ResourceBudget(saturation_cap=0)
-    with pytest.raises(
-        ResourceBudgetError, match="REESLAB_BUDGET saturation="
-    ):
-        saturation(
-            Ideal(R, (x * y**2, x**2 * y)), Ideal(R, (x, y)), budget=no_steps
-        )
 
 
 def test_membership_and_unit():
@@ -736,18 +724,8 @@ def test_ideal_sum_product_power():
 
 
 def test_intersection_colon_saturation_frozen():
-    assert ideal_equal(
-        intersection(Ideal(R, (x,)), Ideal(R, (y,))), Ideal(R, (x * y,))
-    )
     q = colon(Ideal(R, (x**2, y**2)), Ideal(R, (x * y,)))
     assert ideal_equal(q, Ideal(R, (x, y)))
-    m = Ideal(R, (x, y))
-    sat, steps = saturation(Ideal(R, (x * y**2, x**2 * y)), m)
-    assert ideal_equal(sat, Ideal(R, (x * y,)))
-    assert steps == 1
-    sat2, steps2 = saturation(Ideal(R, (x,)), m)
-    assert ideal_equal(sat2, Ideal(R, (x,)))
-    assert steps2 == 0
 
 
 def test_colon_by_zero_rejected():
@@ -797,9 +775,6 @@ def test_adjunction_properties_random():
             assert a.contains(g)
         for g in a.gens:
             assert q.contains(g)
-        meet = intersection(a, b)
-        for g in meet.gens:
-            assert a.contains(g) and b.contains(g)
 
 
 def test_monomial_ops_match_oracle_sample():
@@ -811,15 +786,8 @@ def test_monomial_ops_match_oracle_sample():
         be = random_exps(rng, nvars, 3, 4)
         a = exps_to_ideal(ring, ae)
         b = exps_to_ideal(ring, be)
-        got = ideal_to_exps(intersection(a, b))
-        assert got == oracle_intersect(ae, be)
         got_colon = ideal_to_exps(colon(a, b))
         assert got_colon == minimalize(oracle_colon(ae, be))
-        m_gens = Ideal(ring, ring.gens())
-        sat, steps = saturation(a, m_gens)
-        want_sat, want_steps = oracle_saturate(ae, nvars)
-        assert ideal_to_exps(sat) == want_sat
-        assert steps == want_steps
 
 
 def test_groebner_cache_reused():
@@ -972,7 +940,9 @@ def test_ideal_product_matches_interreduced_products():
 def _colon_cases(rng, ring):
     # seeded homogeneous (a, b, label) pairs: generic forms, zero
     # divisors u with u·v in a, monomial and mixed pairs, divisors with
-    # two or more generators outside a, and constant generators
+    # two or more generators outside a, and constant generators; the
+    # monomials of a monomial pair have coefficients 2 and -3, which
+    # the quotient a : (c·x^m) divides by c
     nvars = ring.nvars
 
     def form(degree):
@@ -981,9 +951,10 @@ def _colon_cases(rng, ring):
             if not f.is_zero:
                 return f
 
-    def monomials(count, top):
+    def monomials(count, top, scaled=False):
         return [
-            ring.monomial(e) for e in random_exps(rng, nvars, count, top)
+            ring.monomial(e, rng.choice((2, -3)) if scaled else 1)
+            for e in random_exps(rng, nvars, count, top)
         ]
 
     def dense_linear():
@@ -1000,12 +971,23 @@ def _colon_cases(rng, ring):
         u, v, w = form(1), form(1), form(1)
         cases.append(([u * v, form(2)], [u], "zero divisor"))
         cases.append(([u * v, w**2], [u, form(2), v], "several outside"))
-        cases.append((monomials(4, 3), monomials(3, 2), "monomial"))
+        cases.append(
+            (monomials(4, 3, True), monomials(3, 2, True), "monomial")
+        )
+        # a in degrees above 2, so every generator of b lies outside it
+        corner = ring.monomial((1,) * nvars)
+        a = [corner * g for g in monomials(4, 3, True)]
+        cases.append((a, monomials(3, 2, True), "monomial, all outside"))
         cases.append((monomials(3, 3), [form(1), form(2)], "monomial a"))
         cases.append(([form(2), form(2)], monomials(2, 2), "monomial b"))
         c = ring.const(rng.choice((2, -3, 5)))
         cases.append(([u * v, w**2, u * w], [c], "constant"))
         cases.append(([u * v, w**2], [c, u], "constant and zero divisor"))
+        a = monomials(3, 3, True)
+        cases.append((a, [c], "monomial, constant"))
+        cases.append(
+            (a, [c] + monomials(1, 2, True), "monomial, constant and monomial")
+        )
     return cases
 
 
@@ -1053,7 +1035,15 @@ def test_colon_matches_elimination(monkeypatch):
                     assert not block_runs, (label, gens_a, gens_b)
                 seen.add((label, nonzerodivisor, len(outside)))
     labels = {label for label, _, _ in seen}
-    assert len(labels) == 9
+    assert len(labels) == 12
+    # both coefficient rules of the monomial pieces: 1/c for one
+    # outside generator, 1 where several meet
+    counts = {
+        count
+        for label, _, count in seen
+        if label in ("monomial", "monomial, all outside")
+    }
+    assert 1 in counts and max(counts) >= 2
     assert any(nzd for _, nzd, _ in seen)
     assert any(not nzd and count == 1 for _, nzd, count in seen)
     assert any(nzd and count >= 2 for _, nzd, count in seen)

@@ -44,6 +44,14 @@ def test_construction_and_equality():
     assert R.const(Fraction(1, 2)) * 2 == R.one
     assert x != y
     assert hash(x * y) == hash(y * x)
+    # the hash reads the exponents alone: x and 2x share one, yet stay
+    # two members of a set, and equal polynomials of two separately
+    # built equal rings hash equal
+    assert len({x, 2 * x}) == 2
+    other = PolyRing(("x", "y", "z"), RationalField())
+    ox, oy, _ = other.gens()
+    assert 3 * ox * oy - 1 == 3 * x * y - 1
+    assert hash(3 * ox * oy - 1) == hash(3 * x * y - 1)
 
 
 def test_ring_identity_is_structural():
