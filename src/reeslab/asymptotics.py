@@ -15,10 +15,9 @@ table starts to agree with P are read off its difference table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotStabilizedError
+from .errors import FrozenValue, NotStabilizedError
 from .ring import NEG_INF
 
 
@@ -30,8 +29,7 @@ def _binom_value(m, j):
     return Fraction(num, math.factorial(j))
 
 
-@dataclass(frozen=True)
-class EventualPolynomial:
+class EventualPolynomial(FrozenValue):
     """P with P(n) equal to the table for all n >= stabilization_index.
 
     binomial_coeffs holds e0..e_t; it is empty and degree is NEG_INF

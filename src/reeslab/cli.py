@@ -16,11 +16,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .corpus import run_corpus
 from .errors import ParseError, PreconditionError
-from .groebner import _ACTIVE_BUDGET, BUDGET
+from .groebner import _ACTIVE_BUDGET, BUDGET, ResourceBudget
 from .runner import run_session
 from .session import _TASK_OPTIONS, Task, parse_session
 
@@ -49,7 +48,7 @@ def _apply_budget_env(text):
                 "each key once, or a bare integer, each N a positive integer"
             )
         caps[_BUDGET_KEYS[key]] = int(value)
-    return replace(BUDGET, **caps)
+    return ResourceBudget(**caps)
 
 
 def _int_at_least(least):
@@ -197,7 +196,9 @@ def main(argv=None):
         print(str(exc), file=sys.stderr)
         return 2
     if getattr(args, "budget_gb_size", None) is not None:
-        budget = replace(budget, max_basis=args.budget_gb_size)
+        budget = ResourceBudget(
+            max_basis=args.budget_gb_size, max_pairs=budget.max_pairs
+        )
     token = _ACTIVE_BUDGET.set(budget)
     try:
         return args.func(args)

@@ -9,9 +9,7 @@ expectation must produce exactly one failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import PreconditionError
+from .errors import FrozenValue, PreconditionError
 from .runner import run_session
 from .session import parse_session
 
@@ -81,8 +79,7 @@ task rees L1 M1 nrange=1..6
 }
 
 
-@dataclass(frozen=True)
-class CorpusCheck:
+class CorpusCheck(FrozenValue):
     name: str
     tags: frozenset
     session: str

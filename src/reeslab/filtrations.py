@@ -13,12 +13,16 @@ produced here says which kind it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
 from .asymptotics import EventualPolynomial, fit_eventual_polynomial
-from .errors import ContainmentError, PreconditionError, RingMismatchError
+from .errors import (
+    ContainmentError,
+    FrozenValue,
+    PreconditionError,
+    RingMismatchError,
+)
 from .groebner import Ideal, ideal_power, ideal_product
 from .lengths import (
     FunctionTable,
@@ -94,8 +98,7 @@ def product_power_table(family, m_range=range(1, 6)):
     return FunctionTable(ms[0], values)
 
 
-@dataclass(frozen=True)
-class NormalizedLimit:
+class NormalizedLimit(FrozenValue):
     values: tuple
     verdict: str
     d: int
@@ -130,8 +133,7 @@ def normalized_limit_estimate(table, d):
     return NormalizedLimit(values, verdict, d, fit)
 
 
-@dataclass(frozen=True)
-class MultiReductionReport:
+class MultiReductionReport(FrozenValue):
     per_pair: tuple
     product: ReductionVerdict
     consistent: bool

@@ -159,7 +159,6 @@ from __future__ import annotations
 
 import bisect
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -169,6 +168,7 @@ from operator import add, itemgetter, le, mul, sub
 
 from .errors import (
     ExponentOverflowError,
+    FrozenValue,
     ResourceBudgetError,
     RingMismatchError,
     ZeroPolynomialError,
@@ -184,8 +184,7 @@ from .ring import (
 )
 
 
-@dataclass(frozen=True)
-class ResourceBudget:
+class ResourceBudget(FrozenValue):
     """Caps for the iterative algorithms; see REESLAB_BUDGET in the CLI."""
 
     max_basis: int = 5000

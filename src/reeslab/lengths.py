@@ -32,11 +32,11 @@ down to a closed form in two variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, zip_longest
 
 from .errors import (
     ContainmentError,
+    FrozenValue,
     LengthCertificationError,
     RingMismatchError,
 )
@@ -52,8 +52,7 @@ from .groebner import (
 from .ring import DEFAULT_ORDER, PolyRing, Polynomial
 
 
-@dataclass(frozen=True)
-class FunctionTable:
+class FunctionTable(FrozenValue):
     """Samples at the consecutive arguments start, start+1, ..."""
 
     start: int

@@ -10,11 +10,11 @@ finite length in R_m and the value is that length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .asymptotics import EventualPolynomial, fit_eventual_polynomial
 from .errors import (
+    FrozenValue,
     LengthCertificationError,
     NotStabilizedError,
     PreconditionError,
@@ -67,8 +67,7 @@ def module_multiplicity(outer, inner, n, t):
     return Fraction(sum(q) if dim == t else 0)
 
 
-@dataclass(frozen=True)
-class MultiplicityReport:
+class MultiplicityReport(FrozenValue):
     proxy: Ideal
     r: int
     t: int

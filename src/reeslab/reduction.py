@@ -20,14 +20,13 @@ multiplicity._reduction_status then consults the degree criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .asymptotics import (
     EventualPolynomial,
     fit_eventual_polynomial,
 )
 from .errors import (
     ContainmentError,
+    FrozenValue,
     LengthCertificationError,
     NotStabilizedError,
     PreconditionError,
@@ -93,8 +92,7 @@ def rees_function(outer, inner, n_range=range(1, 9)):
     return FunctionTable(ns[0], tuple(values))
 
 
-@dataclass(frozen=True)
-class ReductionVerdict:
+class ReductionVerdict(FrozenValue):
     is_reduction: bool
     reduction_number: object  # int when found, else None
     method: str               # "direct" or "rees-criterion"
@@ -135,8 +133,7 @@ def _step_reaches(step, target):
     return all(gb.contains(g) for g in target.gens)
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(FrozenValue):
     verdict: str              # "REDUCTION" or "NOT_REDUCTION"
     table: FunctionTable
     fit: EventualPolynomial
@@ -218,8 +215,7 @@ def analytic_spread(inner):
     return fiber.ring.nvars - _split_pole(fiber)[0]
 
 
-@dataclass(frozen=True)
-class DSequenceReport:
+class DSequenceReport(FrozenValue):
     is_d_sequence_weak: bool
     is_d_sequence_strict: bool
     failing_witness: object  # str description or None
@@ -270,8 +266,7 @@ def depth_positive(inner):
     return _inside_locally(inner, colon(inner, maximal_ideal(inner.ring)))
 
 
-@dataclass(frozen=True)
-class RadicalColonReport:
+class RadicalColonReport(FrozenValue):
     stable_from: int
     proxy: Ideal
     chain: tuple

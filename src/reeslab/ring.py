@@ -9,10 +9,9 @@ by all the variables; nothing here ever rounds.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import RingMismatchError, ZeroPolynomialError
+from .errors import FrozenValue, RingMismatchError, ZeroPolynomialError
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -22,19 +21,36 @@ _QZERO = Fraction(0)
 _QONE = Fraction(1)
 
 
+# Miller-Rabin to the first 13 prime bases is exact below this bound
+# (Sorenson-Webster, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p):
+    """Deterministic Miller-Rabin; p must lie below _PRIME_BOUND."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
-@dataclass(frozen=True)
-class RationalField:
+class RationalField(FrozenValue):
     """Arbitrary-precision rationals."""
 
     @property
@@ -70,13 +86,17 @@ class RationalField:
         return "q"
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(FrozenValue):
     """Integers modulo a prime, elements stored as ints in [0, p)."""
 
     p: int
 
     def __post_init__(self):
+        if self.p >= _PRIME_BOUND:
+            raise ValueError(
+                f"{self.p} is too large: primality is certified only "
+                f"below {_PRIME_BOUND}"
+            )
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
@@ -125,24 +145,21 @@ class PrimeField:
 # m1 < m2 implies m1*u < m2*u and 1 is minimal (weights are positive).
 
 
-@dataclass(frozen=True)
-class GrevLex:
+class GrevLex(FrozenValue):
     """Graded reverse lexicographic; the package default."""
 
     def key(self, e):
         return (sum(e),) + tuple(-x for x in reversed(e))
 
 
-@dataclass(frozen=True)
-class Lex:
+class Lex(FrozenValue):
     """Pure lexicographic in declaration order."""
 
     def key(self, e):
         return e
 
 
-@dataclass(frozen=True)
-class BlockElimination:
+class BlockElimination(FrozenValue):
     """Grevlex on the first block, ties broken by grevlex on the rest.
 
     Any monomial touching the first block beats every monomial that does

@@ -17,9 +17,8 @@ a caret under the offending spot.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import FrozenValue, ParseError
 from .groebner import Ideal
 from .ring import PolyRing, PrimeField, RationalField, poly_str
 
@@ -47,8 +46,7 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(FrozenValue):
     kind: str
     text: str
     column: int
@@ -171,8 +169,7 @@ def _parse_expression(cur, ring):
     return expr()
 
 
-@dataclass(frozen=True)
-class Task:
+class Task(FrozenValue):
     kind: str
     args: tuple
     options: dict

@@ -14,10 +14,16 @@ discards the result: both are memoized, so such a call only builds a
 cache ahead of the call that reads it.  A fourth scan fails on any
 `import` or `from ... import` inside a function of `src/reeslab`: the
 modules import each other at the top, so the import graph is read off
-the module heads.
+the module heads.  Last, `import reeslab` and then `import reeslab.cli`
+in a fresh interpreter must not load `dataclasses` or the modules it
+pulls in, whose import was a measured share of every command's start.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -138,3 +144,32 @@ def test_no_function_level_imports():
         for line in _function_level_imports(path)
     ]
     assert not found, "imports inside functions:\n" + "\n".join(found)
+
+
+_FOOTPRINT = """
+import json, sys
+bare = set(sys.modules)
+import reeslab
+package = set(sys.modules) - bare
+import reeslab.cli
+cli = set(sys.modules) - bare - package
+print(json.dumps([sorted(package), sorted(cli)]))
+"""
+
+
+def test_import_footprint():
+    # against the modules the interpreter itself loaded, since `site`
+    # may preload some of them
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    package, cli = json.loads(out.stdout)
+    assert "reeslab.ring" in package and "reeslab.cli" in cli
+    heavy = {"dataclasses", "inspect", "ast", "dis"}
+    assert not heavy & set(package), sorted(heavy & set(package))
+    assert not heavy & set(cli), sorted(heavy & set(cli))

@@ -1,6 +1,7 @@
 """Polynomial arithmetic, monomial orders, and rendering."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,12 +14,14 @@ from reeslab import (
     BlockElimination,
     GrevLex,
     Lex,
+    ParseError,
     PolyRing,
     PrimeField,
     RationalField,
     RingMismatchError,
     ZeroPolynomialError,
     leading_term,
+    parse_session,
     poly_str,
     total_degree,
 )
@@ -139,6 +142,10 @@ def test_order_axioms_random():
                     assert key(shifted) > key(e)
 
 
+def _trial_division_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
 def test_prime_field():
     F = PrimeField(7)
     assert F.coerce(10) == 3
@@ -147,6 +154,26 @@ def test_prime_field():
     assert F.coerce(Fraction(1, 2)) == 4
     with pytest.raises(ValueError):
         PrimeField(6)
+    # Miller-Rabin to the first 13 prime bases is exact below
+    # psi_13 = 3317044064679887385961981 (Sorenson-Webster 2017)
+    for n in range(10**4):
+        if _trial_division_prime(n):
+            assert PrimeField(n).p == n
+        else:
+            with pytest.raises(ValueError, match="is not prime"):
+                PrimeField(n)
+    # strong pseudoprimes to the bases 2..7, and to 2..23
+    for n in (3215031751, 3825123056546413051):
+        with pytest.raises(ValueError, match="is not prime"):
+            PrimeField(n)
+    start = time.perf_counter()
+    session = parse_session("ring f<2305843009213693951>[x]\n")
+    assert time.perf_counter() - start < 0.5
+    assert session.ring.field == PrimeField(2**61 - 1)
+    bound = 3317044064679887385961981
+    for n in (bound, 2**89 - 1):
+        with pytest.raises(ParseError, match=f"only below {bound}"):
+            parse_session(f"ring f<{n}>[x]\n")
 
 
 def test_prime_field_polynomials():
