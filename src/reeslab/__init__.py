@@ -33,7 +33,6 @@ from .filtrations import (
 )
 from .groebner import (
     BUDGET,
-    DivisorTable,
     GroebnerBasis,
     Ideal,
     ResourceBudget,

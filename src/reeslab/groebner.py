@@ -30,13 +30,15 @@ representations for Gröbner bases computations", ISSAC 1998).
   or a reduction step adds two monomials, whose sum then sets a guard
   bit.
 
-Division reads its divisors from a `DivisorTable`: each divisor's lead
-degree, lead, index and integer form, sorted on (lead degree, lead,
-index).  A basis prepares its table once and reuses it for every
-division: the growing basis of `buchberger`, the minimal basis in
+Division reads its divisors from a table of their integer forms (see
+`_Packed`): each divisor's lead degree, lead, index, leading coefficient
+and tail, sorted on (lead degree, lead, index).  Every table is built
+from `_Packed` forms.  A basis prepares its table once and reuses it for
+every division: the growing basis of `buchberger`, the minimal basis in
 `_reduce_basis`, the kept list of `_interreduce_forms` and a finished
-`GroebnerBasis` each hold one (Cox-Little-O'Shea, Ideals, Varieties, and
-Algorithms, ch. 2 §3).
+`GroebnerBasis` each hold one.  `divide` packs a list of polynomials
+once per call (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
+ch. 2 §3).
 
 Division runs on Python ints for both fields, in one loop.  Over Q a
 divisor is stored primitive, with integer coefficients, and the
@@ -171,7 +173,6 @@ from .errors import (
     FrozenValue,
     ResourceBudgetError,
     RingMismatchError,
-    ZeroPolynomialError,
 )
 from .ring import (
     DEFAULT_ORDER,
@@ -470,11 +471,12 @@ def _poly_form(g, layout):
 
 
 def _pack(ring, order, polys):
-    # the forms of the nonzero polys of `ring`, in a layout they fit
-    polys = [g for g in polys if not g.is_zero]
+    # the forms of the nonzero polys, in a layout they fit; every poly,
+    # zero or not, must be of `ring`
     for g in polys:
         if g.ring != ring:
             raise RingMismatchError(f"{ring!r} vs {g.ring!r}")
+    polys = [g for g in polys if not g.is_zero]
     top = max((sum(e) for g in polys for e in g.terms), default=0)
     layout = _layout(ring.nvars, order, top)
     return _Packed(ring, layout, [_poly_form(g, layout) for g in polys])
@@ -529,104 +531,41 @@ def _distinct_forms(forms):
     return kept
 
 
-class DivisorTable:
-    """The leading data of a divisor list, prepared once for many divisions.
+class _DivisorTable:
+    """The leading data of integer forms, prepared once for many divisions.
 
-    `entries` holds one tuple per nonzero divisor g: (lead degree, lead,
-    index, L, tail, kappa), its monomials packed in the table's
-    `layout` (see the module docstring).  L and the tail describe the
-    integer form g~ = kappa*g that `divide` subtracts: L is its leading
-    coefficient, a positive int, and `tail` lists its other terms as
-    (monomial, -coefficient) pairs of ints.  Over Q, g~ is primitive: its
-    integer coefficients have no common factor.  Over GF(p), g~ is
-    monic, so L is 1 and the tail holds residues in [0, p).  Only
-    quotients read kappa; it is the int 1 when g~ is g.  A monomial
-    becomes the monomial with L = 1 and an empty tail.
-
-    The entries stay sorted on (lead degree, lead, index): a packed lead
-    compares as the order does, so low-degree leads come first and the
-    scan in `divide` can stop at the first lead of higher degree than
-    the term it reduces.  The index is the divisor's position in the
-    list it came from; quotients are reported in that order.  `add`
-    gives each new divisor the next index and inserts it on the same
-    key, so a table grown one divisor at a time has the order of a table
-    built over the whole list at once.  The layout is fixed by the
-    divisors of the first call that brings any.
+    `entries` holds one tuple (lead degree, lead, index, L, tail) per
+    form of the table's `layout`, in the notation of `_Packed`.  They
+    stay sorted on (lead degree, lead, index): a packed lead compares as
+    the order does, so low-degree leads come first and the scan in
+    `_reduce` can stop at the first lead of higher degree than the term
+    it reduces.  The index is the form's position in the list it came
+    from, by default its place in `forms`; `insert` gives each new form
+    the next index, so a table grown one form at a time has the order of
+    a table built over the whole list at once.
     """
 
-    __slots__ = ("ring", "order", "layout", "entries", "size")
+    __slots__ = ("ring", "layout", "entries")
 
-    def __init__(self, divisors=(), order=DEFAULT_ORDER):
-        self.ring = None
-        self.order = order
-        self.layout = None
-        self.entries = []
-        self.size = 0
-        divisors = list(divisors)
-        top = max((total_degree(g) for g in divisors if g), default=0)
-        for g in divisors:
-            if g.is_zero:
-                # a zero divisor keeps its index, and its quotient is zero
-                self.size += 1
-                continue
-            self._check_ring(g, top)
-            self.entries.append(self._poly_entry(g))
-        self.entries.sort()
+    def __init__(self, ring, layout, forms=(), index=None):
+        self.ring = ring
+        self.layout = layout
+        degree = layout.degree
+        self.entries = sorted(
+            (degree(lead), lead, i, L, tail)
+            for i, (lead, L, tail) in zip(index or range(len(forms)), forms)
+        )
 
-    def _check_ring(self, g, top):
-        if self.ring is None:
-            self.ring = g.ring
-            self.layout = _layout(g.ring.nvars, self.order, top)
-        elif g.ring != self.ring:
-            raise RingMismatchError(f"{self.ring!r} vs {g.ring!r}")
-
-    def _entry(self, lead, L, tail, kappa):
-        idx = self.size
-        self.size += 1
-        return (self.layout.degree(lead), lead, idx, L, tail, kappa)
-
-    def _poly_entry(self, g):
-        # the entry of the nonzero polynomial g, whose integer form is
-        # kappa*g with kappa = L/lc
-        form = _poly_form(g, self.layout)
-        lc = g.terms[self.layout.unpack(form[0])]
-        field = g.ring.field
-        inv = 1 if lc == field.one else field.invert(lc)
-        return self._entry(*form, form[1] * inv)
-
-    def add(self, g):
-        """Append the nonzero g as the next divisor; returns its lead.
-
-        Zero and a polynomial of another ring are refused before the
-        table changes.
-        """
-        if g.is_zero:
-            raise ZeroPolynomialError("cannot add the zero polynomial as a divisor")
-        self._check_ring(g, total_degree(g))
-        entry = self._poly_entry(g)
+    def insert(self, lead, L, tail):
+        entry = (self.layout.degree(lead), lead, len(self.entries), L, tail)
         bisect.insort(self.entries, entry)
-        return self.layout.unpack(entry[1])
-
-    def _add_form(self, lead, L, tail):
-        # append the monic divisor of an integer form
-        bisect.insort(self.entries, self._entry(lead, L, tail, L))
-
-
-def _table(ring, layout, forms=()):
-    # the divisor table of integer forms in the layout
-    table = DivisorTable((), layout.order)
-    table.ring = ring
-    table.layout = layout
-    for form in forms:
-        table._add_form(*form)
-    return table
 
 
 def _add_remainder(table, r, field):
     # append the divisor whose int numerators are the remainder r, and
     # return its integer form
     form = _form(r, field)
-    table._add_form(*form)
+    table.insert(*form)
     return form
 
 
@@ -639,8 +578,9 @@ def _reduce(work, s, table, p, quotients=None):
     # remainder and s are all multiplied by L/h, which leaves work/s
     # unchanged, and then (c/h)*x^shift*g~ is subtracted, which cancels
     # the term exactly.  Over GF(p), L is 1 and every coefficient is read
-    # modulo p when its term is reached.  A reduction records its factor
-    # in `quotients` when given, one dict per table index.
+    # modulo p when its term is reached.  A reduction records its factor,
+    # the quotient term by g~, in `quotients` when given, one dict per
+    # table index.
     layout = table.layout
     guards = layout.guards
     dshift = layout.dshift
@@ -660,7 +600,7 @@ def _reduce(work, s, table, p, quotients=None):
             continue
         deg = m >> dshift & fmask
         m_guarded = m | guards
-        for lead_deg, lead, idx, L, tail, kappa in entries:
+        for lead_deg, lead, idx, L, tail in entries:
             if lead_deg > deg:
                 remainder[m] = c
                 break
@@ -678,8 +618,7 @@ def _reduce(work, s, table, p, quotients=None):
                     for e in remainder:
                         remainder[e] *= f
             if quotients is not None:
-                factor = c * kappa % p if p else Fraction(c, s) * kappa
-                quotients[idx][shift] = factor
+                quotients[idx][shift] = c if p else Fraction(c, s)
             for e, tc in tail:
                 e += shift
                 if e & guards:
@@ -699,14 +638,15 @@ def _reduce(work, s, table, p, quotients=None):
 def divide(f, divisors, order=DEFAULT_ORDER, with_quotients=False):
     """Multivariate division: f = sum(q_i * divisors[i]) + remainder.
 
-    `divisors` is a list of polynomials or a `DivisorTable` prepared for
-    the same order; a list is turned into a table once, at the top of
-    the call.  Each term is reduced by the first divisor in table order,
-    (lead degree, order of the lead, index), whose lead divides it.
-    No remainder term is divisible by the leading term of any divisor.
-    Quotients are tracked only on request; the first return value is
-    None otherwise.  Candidate terms live in a max-heap of their packed
-    monomials.
+    `divisors` is a list of polynomials of f's ring, packed once at the
+    top of the call, or the `table` of a `GroebnerBasis` for the same
+    order, whose divisors are its monic polynomials.  Each term is
+    reduced by the first divisor in (lead degree, order of the lead,
+    index) order whose lead divides it.  A zero divisor keeps its index,
+    and its quotient is zero.  No remainder term is divisible by the
+    leading term of any divisor.  Quotients are tracked only on request;
+    the first return value is None otherwise.  Candidate terms live in a
+    max-heap of their packed monomials.
 
     The arithmetic is on ints, for both fields.  The working polynomial
     is kept as `work`/s: integer coefficients over one common
@@ -715,36 +655,54 @@ def divide(f, divisors, order=DEFAULT_ORDER, with_quotients=False):
     and then cancels one term exactly (see `_reduce`), so work/s is
     always f minus the quotients found so far times their divisors, and
     a term that no lead divides leaves as the exact remainder
-    coefficient over the final s.
+    coefficient over the final s.  A divisor g with lead coefficient lc
+    is divided by as its integer form (L/lc)·g, so each quotient is
+    scaled by L/lc once, as it leaves.
     """
-    if not isinstance(divisors, DivisorTable):
-        divisors = DivisorTable(divisors, order)
-    elif divisors.order != order:
-        raise ValueError(
-            f"divisor table prepared for {divisors.order!r}, not {order!r}"
-        )
     ring = f.ring
-    if divisors.ring is not None and divisors.ring != ring:
-        raise RingMismatchError(f"{ring!r} vs {divisors.ring!r}")
-    layout = divisors.layout
-    if layout is None:
-        # no nonzero divisor: every quotient is zero
-        return ([ring.zero] * divisors.size if with_quotients else None), f
+    if isinstance(divisors, _DivisorTable):
+        table = divisors
+        if table.layout.order != order:
+            raise ValueError(
+                f"divisor table prepared for {table.layout.order!r}, not {order!r}"
+            )
+        if table.ring != ring:
+            raise RingMismatchError(f"{ring!r} vs {table.ring!r}")
+        polys = None
+        size = len(table.entries)
+    else:
+        polys = list(divisors)
+        packed = _pack(ring, order, polys)
+        index = [i for i, g in enumerate(polys) if not g.is_zero]
+        table = _DivisorTable(ring, packed.layout, packed.forms, index)
+        size = len(polys)
+    if not table.entries:
+        return ([ring.zero] * size if with_quotients else None), f
     p = _char(ring)
-    quotients = [{} for _ in range(divisors.size)] if with_quotients else None
+    quotients = [{} for _ in range(size)] if with_quotients else None
     s = lcm(*(c.denominator for c in f.terms.values()))
+    layout = table.layout
     pack = layout.pack
     work = {pack(e): c.numerator * (s // c.denominator) for e, c in f.terms.items()}
-    remainder, s = _reduce(work, s, divisors, p, quotients)
+    remainder, s = _reduce(work, s, table, p, quotients)
     unpack = layout.unpack
     if not p:
         remainder = {m: Fraction(c, s) for m, c in remainder.items()}
     rem = Polynomial(ring, {unpack(m): c for m, c in remainder.items()})
     if not with_quotients:
         return None, rem
-    return [
-        Polynomial(ring, {unpack(m): c for m, c in q.items()}) for q in quotients
-    ], rem
+    field = ring.field
+    for _, lead, idx, L, _ in table.entries:
+        kappa = L
+        if polys is not None:
+            lc = polys[idx].terms[unpack(lead)]
+            if lc != field.one:
+                kappa = L * field.invert(lc)
+        quotients[idx] = {
+            unpack(m): c * kappa % p if p else c * kappa
+            for m, c in quotients[idx].items()
+        }
+    return [Polynomial(ring, q) for q in quotients], rem
 
 
 def buchberger(
@@ -780,7 +738,7 @@ def buchberger(
     S-polynomial and remainder stays linear in the components.
 
     The loop keeps each basis element as its integer form (lead, L,
-    tail), the data of its `DivisorTable` entry.  The S-polynomial of
+    tail), the data of its divisor table entry.  The S-polynomial of
     elements i and j is built on ints as
     (L_j/h)*x^(l-a_i)*g~_i - (L_i/h)*x^(l-a_j)*g~_j, with l the lcm of
     the leads a_i, a_j and h = gcd(L_i, L_j): a positive multiple of the
@@ -818,7 +776,7 @@ def _pair_loop(ring, layout, basis, budget, cap, reduced, module):
     exps = layout.exps
     lcm_of = layout.lcm
     components = (1 << module * layout.width) - 1  # the module's fields
-    table = _table(ring, layout, basis)
+    table = _DivisorTable(ring, layout, basis)
     active = list(range(reduced))
     heap = []  # pairs (lcm degree, lcm, i, j)
     pushes = 0
@@ -921,7 +879,7 @@ def _reduce_basis(ring, basis, layout):
     minimal = [by_lead[m] for m in _minimal_leads(by_lead, layout)]
     if len(minimal) < 2 or not any(tail for _, _, tail in minimal):
         return minimal
-    table = _table(ring, layout, minimal)
+    table = _DivisorTable(ring, layout, minimal)
     p = _char(ring)
     reduced = []
     for lead, L, tail in minimal:
@@ -935,23 +893,21 @@ def _reduce_basis(ring, basis, layout):
 class GroebnerBasis:
     """A reduced basis with its order; iterates over the polynomials.
 
-    `run` holds its `_Packed` integer forms: those of the run that made
-    it, or its polynomials packed once.  The polynomials of a run are
-    built on first use, and the divisor table on the first normal form,
-    so a basis that only lends its leads, like those of the Hilbert
-    numerators, builds neither.
+    `run` holds the `_Packed` integer forms of the run that made it.
+    The polynomials are built on first use, and the divisor table on the
+    first normal form, so a basis that only lends its leads, like those
+    of the Hilbert numerators, builds neither.
     """
 
     __slots__ = ("ring", "order", "run", "lead_exps", "_polys", "_table")
 
-    def __init__(self, ring, order, polys):
+    def __init__(self, ring, order, run):
         self.ring = ring
         self.order = order
-        packed = isinstance(polys, _Packed)
-        self.run = polys if packed else _pack(ring, order, polys)
-        self._polys = None if packed else tuple(polys)
-        unpack = self.run.layout.unpack
-        self.lead_exps = tuple(unpack(form[0]) for form in self.run.forms)
+        self.run = run
+        self._polys = None
+        unpack = run.layout.unpack
+        self.lead_exps = tuple(unpack(form[0]) for form in run.forms)
         self._table = None
 
     @property
@@ -971,7 +927,7 @@ class GroebnerBasis:
     def table(self):
         if self._table is None:
             run = self.run
-            self._table = _table(run.ring, run.layout, run.forms)
+            self._table = _DivisorTable(run.ring, run.layout, run.forms)
         return self._table
 
     def normal_form(self, f):
@@ -1133,7 +1089,7 @@ def _interreduce_forms(ring, forms, layout):
     forms.sort(key=itemgetter(0))
     p = _char(ring)
     kept = []
-    table = _table(ring, layout)
+    table = _DivisorTable(ring, layout)
     for form in forms:
         r, _ = _reduce(_terms(form), 1, table, p)
         if r:

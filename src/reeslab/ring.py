@@ -319,7 +319,7 @@ class Polynomial:
         return Polynomial(self.ring, {e: neg(c) for e, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         self._check(other)
         field = self.ring.field
@@ -336,7 +336,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         return self + (-other)
 

@@ -439,9 +439,6 @@ def _check_task(task, cur, kind_tok, session_names, kinds):
     window = task.options.get("window")
     if window is not None and window < 3:
         cur.error("window must be at least 3", col)
-    for key in ("nmax", "d"):
-        if key in task.options and task.options[key] < 0:
-            cur.error(f"{key} must be nonnegative", col)
     if "weights" in task.options and any(
         w < 1 for w in task.options["weights"]
     ):

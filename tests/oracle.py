@@ -3,7 +3,7 @@
 Everything here works on plain exponent tuples so the answers cannot
 share code paths with the library.  Counting routines refuse to answer
 unless they can certify their own bound.  The exceptions read only the
-library's `buchberger`, `divide` with its `DivisorTable` and
+library's `buchberger`, `divide` by a list of polynomials and
 `leading_term`, none of its ideal operations or lengths:
 `elimination_colon`, the textbook colon by elimination; `interreduce`,
 the reference for `ideal_product`; `hilbert_samples`, the sampler
@@ -276,13 +276,7 @@ def interreduce(polys, order=None):
     cap on such lists, are sorted by lead and normal-formed, monic,
     against what is already kept.
     """
-    from reeslab import (
-        DEFAULT_ORDER,
-        DivisorTable,
-        divide,
-        groebner,
-        leading_term,
-    )
+    from reeslab import DEFAULT_ORDER, divide, groebner, leading_term
 
     order = order or DEFAULT_ORDER
     polys = [g for g in polys if not g.is_zero]
@@ -303,12 +297,10 @@ def interreduce(polys, order=None):
         return distinct
     distinct.sort(key=lambda g: order.key(leading_term(g, order)[0]))
     kept = []
-    table = DivisorTable((), order)
     for g in distinct:
-        r = divide(g, table, order)[1]
+        r = divide(g, kept, order)[1]
         if not r.is_zero:
             kept.append(monic(r, order))
-            table.add(kept[-1])
     return kept
 
 
@@ -325,14 +317,13 @@ def hilbert_samples(a, b, k_range):
     A graded quotient has the Hilbert function of its lead ideals, so
     the length counts the monomials in in(a) outside in(b + m^k·a).
     """
-    from reeslab import DivisorTable, buchberger, divide
+    from reeslab import buchberger, divide
 
     assert a.is_homogeneous() and b.is_homogeneous()
     ring = a.ring
     nvars = ring.nvars
     lead_a = _lead_exps(a.gens)
     basis_b = buchberger(b.gens)
-    table_b = DivisorTable(basis_b)
     values = []
     for k in k_range:
         # only the products outside b enter the basis run
@@ -340,7 +331,7 @@ def hilbert_samples(a, b, k_range):
         for g in a.gens:
             for e in degree_tuples(nvars, k):
                 f = ring.monomial(e) * g
-                if not divide(f, table_b)[1].is_zero:
+                if not divide(f, basis_b)[1].is_zero:
                     shifted.append(f)
         lead_c = _lead_exps(basis_b + shifted)
         values.append(subquotient(lead_a, lead_c, nvars))

@@ -17,14 +17,18 @@ modules import each other at the top, so the import graph is read off
 the module heads.  Last, `import reeslab` and then `import reeslab.cli`
 in a fresh interpreter must not load `dataclasses` or the modules it
 pulls in, whose import was a measured share of every command's start.
+And the export count README gives must be that of `reeslab.__all__`.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import reeslab
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -173,3 +177,9 @@ def test_import_footprint():
     heavy = {"dataclasses", "inspect", "ast", "dis"}
     assert not heavy & set(package), sorted(heavy & set(package))
     assert not heavy & set(cli), sorted(heavy & set(cli))
+
+
+def test_readme_export_count():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (count,) = re.findall(r"exports (\d+) names", readme)
+    assert int(count) == len(reeslab.__all__)

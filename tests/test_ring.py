@@ -45,6 +45,12 @@ def test_construction_and_equality():
     assert x - x == R.zero
     assert (x + 1) * (x - 1) == x**2 - 1
     assert R.const(Fraction(1, 2)) * 2 == R.one
+    # a Fraction is coerced on either side of + and -, as it is by *
+    half = R.const(Fraction(1, 2))
+    assert x + Fraction(1, 2) == Fraction(1, 2) + x == x + half
+    assert x - Fraction(1, 2) == x - half
+    assert Fraction(1, 2) - x == half - x
+    assert x + Fraction(0) == x - Fraction(0) == x
     assert x != y
     assert hash(x * y) == hash(y * x)
     # the hash reads the exponents alone: x and 2x share one, yet stay
@@ -181,6 +187,10 @@ def test_prime_field_polynomials():
     a, b = Rp.gens()
     assert (a + b) ** 5 == a**5 + b**5
     assert 5 * a == Rp.zero
+    # 1/2 is 3 in GF(5)
+    assert a + Fraction(1, 2) == Fraction(1, 2) + a == a + 3
+    assert a - Fraction(1, 2) == a - 3
+    assert Fraction(1, 2) - a == 3 - a
 
 
 def test_poly_str_layout():

@@ -102,6 +102,7 @@ def test_empty_session():
         ("ring q[x]\nideal I = x\ntask length I extra=1", 3, "option"),
         ("ring q[x]\nideal I = x\ntask mult I I nrange=5..2", 3, "range"),
         ("ring q[x]\nideal I = x\ntask reduction I I nmax=1,2", 3, "shape"),
+        ("ring q[x]\nideal I = x\ntask reduction I I nmax=-1", 3, "integer"),
         ("ring q[x]\nideal I = x\ntask rees I I window=3,4", 3, "shape"),
         ("ring q[x]\nideal I = x\ntask filtration power I:I d=1,2", 3, "shape"),
     ],
