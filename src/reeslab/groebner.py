@@ -36,9 +36,11 @@ and tail, sorted on (lead degree, lead, index).  Every table is built
 from `_Packed` forms.  A basis prepares its table once and reuses it for
 every division: the growing basis of `buchberger`, the minimal basis in
 `_reduce_basis`, the kept list of `_interreduce_forms` and a finished
-`GroebnerBasis` each hold one.  `divide` packs a list of polynomials
-once per call (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
-ch. 2 §3).
+`GroebnerBasis` each hold one.  A table memoizes the first divisor of
+each monomial it has been asked about, so a monomial met again in a
+later S-polynomial is not looked up again.  `divide` packs a list of
+polynomials, with the dividend, once per call (Cox-Little-O'Shea,
+Ideals, Varieties, and Algorithms, ch. 2 §3).
 
 Division runs on Python ints for both fields, in one loop.  Over Q a
 divisor is stored primitive, with integer coefficients, and the
@@ -54,10 +56,13 @@ stand for.
 The S-pair loop stays on those integer forms from its input to the
 reduced basis.  One private loop, `_reduce`, serves `divide`, the
 S-pair reductions, and the tail reductions of `_reduce_basis` and
-`_interreduce_forms`.  `buchberger` maps polynomials to polynomials,
-and the `_Packed` forms of one layout to those of the reduced basis; a
-`GroebnerBasis` keeps the forms of its run, and the colon and the
-nonzerodivisor certificate start their runs from them.
+`_interreduce_forms`.  `buchberger` maps polynomials to the reduced
+basis, and the `_Packed` forms of one layout to those of the minimal
+basis, whose tails only `_reduce_basis` reduces: the Lazard leads, the
+nonzerodivisor certificate and the reduction step read only leads or
+membership, and the colon reduces only the elements it returns.  A
+`GroebnerBasis` keeps the reduced forms of its run, and the colon and
+the certificate start their runs from them.
 
 Pairs are kept by the Gebauer-Möller update (Gebauer-Möller, "On an
 installation of Buchberger's algorithm", J. Symbolic Comput. 6, 1988;
@@ -90,7 +95,7 @@ are minimalized by the same pass, unsorted.
 generators at a degree D.  Their S-polynomials and remainders are
 homogeneous of the pair's lcm degree, and the pairs go by ascending lcm
 degree, so the loop leaves exactly the elements of degree at most D of
-the reduced basis, which divide a homogeneous polynomial of degree at
+the minimal basis, which divide a homogeneous polynomial of degree at
 most D as the full basis does (Becker-Weispfenning, Gröbner Bases,
 §10.2).  Its one caller is the step of `reduction.reduction_test`;
 `Ideal` keeps full bases only.
@@ -271,10 +276,19 @@ class _Layout:
 _layouts = lru_cache(maxsize=256)(_Layout)
 
 
+def _bits(top):
+    # the value bits for inputs of degree at most `top`: at least 31, and
+    # two more than `top` needs
+    return max(31, top.bit_length() + 2)
+
+
 def _layout(nvars, order, top=0):
-    # the layout for inputs of degree at most `top`: at least 31 value
-    # bits, and two more than `top` needs
-    return _layouts(nvars, order, max(31, top.bit_length() + 2))
+    return _layouts(nvars, order, _bits(top))
+
+
+def _top(polys):
+    # the highest total degree of a term of the polys, 0 for none
+    return max((sum(e) for g in polys for e in g.terms), default=0)
 
 
 class _Packed:
@@ -470,15 +484,14 @@ def _poly_form(g, layout):
     return _form(_nums(g, layout), g.ring.field)
 
 
-def _pack(ring, order, polys):
-    # the forms of the nonzero polys, in a layout they fit; every poly,
-    # zero or not, must be of `ring`
+def _pack(ring, order, polys, top=0):
+    # the forms of the nonzero polys, in a layout that fits them and
+    # terms of degree `top`; every poly, zero or not, must be of `ring`
     for g in polys:
         if g.ring != ring:
             raise RingMismatchError(f"{ring!r} vs {g.ring!r}")
     polys = [g for g in polys if not g.is_zero]
-    top = max((sum(e) for g in polys for e in g.terms), default=0)
-    layout = _layout(ring.nvars, order, top)
+    layout = _layout(ring.nvars, order, max(top, _top(polys)))
     return _Packed(ring, layout, [_poly_form(g, layout) for g in polys])
 
 
@@ -543,9 +556,17 @@ class _DivisorTable:
     from, by default its place in `forms`; `insert` gives each new form
     the next index, so a table grown one form at a time has the order of
     a table built over the whole list at once.
+
+    A table is only ever grown, so the first divisor of a monomial can
+    only move to an entry inserted later.  `log` lists the inserted
+    entries in the order they came, and `memo` maps each packed monomial
+    `_reduce` has looked up to (len(log) then, its first entry or None).
+    A later lookup re-checks only the entries logged since, and keeps the
+    least (lead degree, lead, index) that divides: the first divisor of
+    a scan over the whole table.
     """
 
-    __slots__ = ("ring", "layout", "entries")
+    __slots__ = ("ring", "layout", "entries", "log", "memo")
 
     def __init__(self, ring, layout, forms=(), index=None):
         self.ring = ring
@@ -555,10 +576,28 @@ class _DivisorTable:
             (degree(lead), lead, i, L, tail)
             for i, (lead, L, tail) in zip(index or range(len(forms)), forms)
         )
+        self.log = []
+        self.memo = {}
 
     def insert(self, lead, L, tail):
         entry = (self.layout.degree(lead), lead, len(self.entries), L, tail)
         bisect.insort(self.entries, entry)
+        self.log.append(entry)
+
+    def widened(self, layout):
+        # the same forms and indices in the wider `layout`
+        narrow = self.layout
+
+        def move(m):
+            return layout.pack(narrow.unpack(m))
+
+        return _DivisorTable(
+            self.ring,
+            layout,
+            [(move(lead), L, tuple((move(e), c) for e, c in tail))
+             for _, lead, _, L, tail in self.entries],
+            [idx for _, _, idx, _, _ in self.entries],
+        )
 
 
 def _add_remainder(table, r, field):
@@ -586,6 +625,9 @@ def _reduce(work, s, table, p, quotients=None):
     dshift = layout.dshift
     fmask = layout.fmask
     entries = table.entries
+    log = table.log
+    inserts = len(log)  # no form joins the table during one reduction
+    memo = table.memo
     # a max-heap of the monomials of `work`, each once: a reduction only
     # adds terms below the one it reduces, which are not yet popped
     heap = [-m for m in work]
@@ -598,40 +640,55 @@ def _reduce(work, s, table, p, quotients=None):
             c %= p
         if not c:
             continue
-        deg = m >> dshift & fmask
         m_guarded = m | guards
-        for lead_deg, lead, idx, L, tail in entries:
-            if lead_deg > deg:
-                remainder[m] = c
-                break
-            if (m_guarded - lead) & guards != guards:
-                continue
-            shift = m - lead
-            if L != 1:
-                h = gcd(c, L)
-                f = L // h
-                c //= h
-                if f != 1:
-                    s *= f
-                    for e in work:
-                        work[e] *= f
-                    for e in remainder:
-                        remainder[e] *= f
-            if quotients is not None:
-                quotients[idx][shift] = c if p else Fraction(c, s)
-            for e, tc in tail:
-                e += shift
-                if e & guards:
-                    raise layout.overflow()
-                old = work.get(e)
-                if old is None:
-                    work[e] = c * tc
-                    heappush(heap, -e)
-                else:
-                    work[e] = old + c * tc
-            break
+        seen = memo.get(m)
+        if seen is None:
+            first = None
+            deg = m >> dshift & fmask
+            for entry in entries:
+                if entry[0] > deg:
+                    break
+                if (m_guarded - entry[1]) & guards == guards:
+                    first = entry
+                    break
+            memo[m] = inserts, first
         else:
+            since, first = seen
+            if since < inserts:
+                # only forms inserted since can come before `first`
+                for entry in log[since:]:
+                    if (m_guarded - entry[1]) & guards == guards and (
+                        first is None or entry < first
+                    ):
+                        first = entry
+                memo[m] = inserts, first
+        if first is None:
             remainder[m] = c
+            continue
+        _, lead, idx, L, tail = first
+        shift = m - lead
+        if L != 1:
+            h = gcd(c, L)
+            f = L // h
+            c //= h
+            if f != 1:
+                s *= f
+                for e in work:
+                    work[e] *= f
+                for e in remainder:
+                    remainder[e] *= f
+        if quotients is not None:
+            quotients[idx][shift] = c if p else Fraction(c, s)
+        for e, tc in tail:
+            e += shift
+            if e & guards:
+                raise layout.overflow()
+            old = work.get(e)
+            if old is None:
+                work[e] = c * tc
+                heappush(heap, -e)
+            else:
+                work[e] = old + c * tc
     return remainder, s
 
 
@@ -639,14 +696,15 @@ def divide(f, divisors, order=DEFAULT_ORDER, with_quotients=False):
     """Multivariate division: f = sum(q_i * divisors[i]) + remainder.
 
     `divisors` is a list of polynomials of f's ring, packed once at the
-    top of the call, or the `table` of a `GroebnerBasis` for the same
-    order, whose divisors are its monic polynomials.  Each term is
-    reduced by the first divisor in (lead degree, order of the lead,
-    index) order whose lead divides it.  A zero divisor keeps its index,
-    and its quotient is zero.  No remainder term is divisible by the
-    leading term of any divisor.  Quotients are tracked only on request;
-    the first return value is None otherwise.  Candidate terms live in a
-    max-heap of their packed monomials.
+    top of the call in a layout that fits f too, or the `table` of a
+    `GroebnerBasis` for the same order, whose divisors are its monic
+    polynomials; a table too narrow for f is repacked wider for the
+    call.  Each term is reduced by the first divisor in (lead degree,
+    order of the lead, index) order whose lead divides it.  A zero
+    divisor keeps its index, and its quotient is zero.  No remainder
+    term is divisible by the leading term of any divisor.  Quotients are
+    tracked only on request; the first return value is None otherwise.
+    Candidate terms live in a max-heap of their packed monomials.
 
     The arithmetic is on ints, for both fields.  The working polynomial
     is kept as `work`/s: integer coefficients over one common
@@ -660,6 +718,7 @@ def divide(f, divisors, order=DEFAULT_ORDER, with_quotients=False):
     scaled by L/lc once, as it leaves.
     """
     ring = f.ring
+    top = _top([f])
     if isinstance(divisors, _DivisorTable):
         table = divisors
         if table.layout.order != order:
@@ -668,11 +727,13 @@ def divide(f, divisors, order=DEFAULT_ORDER, with_quotients=False):
             )
         if table.ring != ring:
             raise RingMismatchError(f"{ring!r} vs {table.ring!r}")
+        if _bits(top) > table.layout.bits:
+            table = table.widened(_layout(ring.nvars, order, top))
         polys = None
         size = len(table.entries)
     else:
         polys = list(divisors)
-        packed = _pack(ring, order, polys)
+        packed = _pack(ring, order, polys, top)
         index = [i for i, g in enumerate(polys) if not g.is_zero]
         table = _DivisorTable(ring, packed.layout, packed.forms, index)
         size = len(polys)
@@ -708,28 +769,34 @@ def divide(f, divisors, order=DEFAULT_ORDER, with_quotients=False):
 def buchberger(
     gens, order=DEFAULT_ORDER, budget=None, _degree=None, _reduced=0, _module=0
 ):
-    """Reduced Groebner basis of the ideal spanned by the generators.
+    """Groebner basis of the ideal spanned by the generators.
 
     Polynomials in, the monic reduced basis out, ascending in the order;
     the `_Packed` forms of a layout for `order` in, the `_Packed` forms
-    of the reduced basis out.  Single-term generators return their
-    minimal monomials at once.  Others go through the S-pair loop, with
-    the normal selection strategy: pairs are popped by lcm total degree,
-    then the order of the lcm, then generator indices.  The pairs are
-    kept by the Gebauer-Möller update of the module docstring: the M
-    and F criteria on the new pairs, which drop the pairs of coprime
-    leads and of two single terms along with every pair of their lcm,
-    and the B criterion on the queued ones.  The S-pair budget counts
-    the pairs queued.
+    of the minimal basis out, ascending in the order: one element per
+    minimal lead, its tail not reduced.  Its leads are those of the
+    reduced basis, and it divides as any Groebner basis does, so a caller
+    that reads only leads or membership skips the tail reductions;
+    `_reduce_basis` makes the reduced basis of it.  Single-term
+    generators return their minimal monomials at once.  Others go
+    through the S-pair loop, with the normal selection strategy: pairs
+    are popped by lcm total degree, then the order of the lcm, then
+    generator indices.  The pairs are kept by the Gebauer-Möller update
+    of the module docstring: the M and F criteria on the new pairs,
+    which drop the pairs of coprime leads and of two single terms along
+    with every pair of their lcm, and the B criterion on the queued
+    ones.  The S-pair budget counts the pairs queued.
 
     `_degree`, for homogeneous generators only, stops the loop before
     the first pair whose lcm has a higher degree; what it returns are
-    the elements of degree at most `_degree` of the reduced basis.
+    the elements of degree at most `_degree` of the basis it would
+    return without the cap.
 
     `_reduced` says that the first that many generators already form a
-    reduced basis in the order, such as a cached basis grown by new
-    generators: they start as the active set with no pair queued, as if
-    every pair among them were treated.
+    minimal Groebner basis in the order, such as a cached basis grown by
+    new generators: they start as the active set with no pair queued, as
+    if every pair among them were treated.  Their tails need not be
+    reduced.
 
     `_module=m` reads the generators as elements of a free module of rank
     m: the first m variables stand for its basis vectors, and every term
@@ -760,10 +827,10 @@ def buchberger(
         _pair_loop(ring, layout, basis, budget, _degree, _reduced, _module)
     if _degree is not None:
         basis = [form for form in basis if layout.degree(form[0]) <= _degree]
-    forms = _reduce_basis(ring, basis, layout)
+    forms = _minimal_basis(basis, layout)
     if packed is gens:
         return _Packed(ring, layout, forms)
-    return _polys(ring, layout, forms)
+    return _polys(ring, layout, _reduce_basis(ring, forms, layout))
 
 
 def _pair_loop(ring, layout, basis, budget, cap, reduced, module):
@@ -865,18 +932,23 @@ def _pair_loop(ring, layout, basis, budget, cap, reduced, module):
         update(len(basis) - 1)
     # every pair left, and every element it would add, lies above the
     # cap, and homogeneous division never leaves a degree, so the
-    # elements through the cap are already those of the reduced basis
+    # elements through the cap are already those of the whole run
 
 
-def _reduce_basis(ring, basis, layout):
-    # minimalize the integer forms, then tail-reduce every element
-    # against one table of the minimal basis; an element may stay in the
-    # table its own tail is reduced against, because no term below a
-    # lead is divisible by it
+def _minimal_basis(basis, layout):
+    # the integer forms of the minimal leads, the first form of each,
+    # ascending by lead
     by_lead = {}
     for form in basis:
         by_lead.setdefault(form[0], form)
-    minimal = [by_lead[m] for m in _minimal_leads(by_lead, layout)]
+    return [by_lead[m] for m in _minimal_leads(by_lead, layout)]
+
+
+def _reduce_basis(ring, minimal, layout):
+    # the reduced basis of the integer forms of a minimal basis, in its
+    # order: every tail reduced against one table of the basis.  An
+    # element may stay in the table its own tail is reduced against,
+    # because no term below a lead is divisible by it
     if len(minimal) < 2 or not any(tail for _, _, tail in minimal):
         return minimal
     table = _DivisorTable(ring, layout, minimal)
@@ -979,6 +1051,7 @@ class Ideal:
         gb = self._gb.get(order)
         if gb is None:
             run = buchberger(_pack(self.ring, order, self.gens), order)
+            run.forms = _reduce_basis(self.ring, run.forms, run.layout)
             gb = self._gb[order] = GroebnerBasis(self.ring, order, run)
         return gb
 
@@ -1238,17 +1311,23 @@ def _syzygy_colon(gb, outside):
         _reduced=len(forms) - 1,
         _module=k + 1,
     )
-    # an element whose lead holds e_0 lies in e_0 whole; drop e_0
+    # an element whose lead holds e_0 lies in e_0 whole, so the
+    # e_0-elements of the minimal basis reduce among themselves to those
+    # of the reduced basis; drop e_0
     guards = layout.guards
     pack = run.layout.pack
+    inside = [
+        form
+        for form in module.forms
+        if ((form[0] | guards) - comps[k]) & guards == guards
+    ]
 
     def drop(m):
         return pack(layout.unpack(m)[k + 1:])
 
     return _Packed(ring, run.layout, [
         (drop(lead), L, tuple((drop(e), c) for e, c in tail))
-        for lead, L, tail in module.forms
-        if ((lead | guards) - comps[k]) & guards == guards
+        for lead, L, tail in _reduce_basis(ext, inside, layout)
     ])
 
 

@@ -50,7 +50,8 @@ from reeslab import (
     zero_ideal,
 )
 import reeslab.groebner as groebner_module
-from reeslab.lengths import _LAZARD
+from reeslab.lengths import _LAZARD, _lazard_leads
+from reeslab.reduction import _step_reaches, reduction_test
 
 R = PolyRing(("x", "y"), RationalField())
 x, y = R.gens()
@@ -525,9 +526,210 @@ def test_exponents_past_the_field_width_compute_or_refuse():
             buchberger([u - v**k, u**8], Lex())
         with pytest.raises(ExponentOverflowError):
             divide(u**8, [u - v**k], Lex())
-        # a table fit to its divisors refuses a dividend past its fields
-        with pytest.raises(ExponentOverflowError):
-            divide(u**big, [u - v])
+        # a dividend past the fields of its divisors widens them: a list
+        # is packed with the dividend, a basis table repacked wider
+        k = 2**31
+        assert Ideal(ring, [v]).contains(u**k * v)
+        assert not Ideal(ring, [v]).contains(u**k + v**2)
+        assert divide(u**k, [v]) == (None, u**k)
+        gb = Ideal(ring, [v**2 + v]).groebner()
+        f = u**k * v**2 + v**3
+        quotients, rem = divide(f, gb.table, with_quotients=True)
+        assert rem == v - u**k * v
+        assert quotients == [u**k + v - 1]
+        # the table itself keeps its layout
+        assert gb.table.layout.bits == 31
+
+
+def _reduced_by(table, nums, p):
+    # remainder terms in the order they left, the final denominator and
+    # the quotient terms of one `_reduce` of the int polynomial nums
+    quotients = [{} for _ in table.entries]
+    remainder, s = groebner_module._reduce(dict(nums), 1, table, p, quotients)
+    return list(remainder.items()), s, quotients
+
+
+def test_grown_table_divides_as_a_table_built_whole():
+    # the first-divisor memo of a table: grown by `_add_remainder` between
+    # reductions, its memo warmed by the reductions before each insert, a
+    # table gives the remainders and quotients of one built at once from
+    # the same forms; and a warm basis table repeats its divisions
+    rng = random.Random(97)
+    rings = [
+        PolyRing(names, field)
+        for names in (("x", "y"), ("x", "y", "z"))
+        for field in (RationalField(), PrimeField(32003))
+    ]
+    moved = 0  # memoized first divisors that a later insert displaced
+    for trial in range(32):
+        ring = rings[trial % len(rings)]
+        order = _table_orders(ring.nvars)[trial // len(rings) % 4]
+        p = groebner_module._char(ring)
+        divisors = [
+            random_sparse_poly(rng, ring, 3, 3)
+            for _ in range(rng.randint(3, 6))
+        ]
+        dividends = [random_sparse_poly(rng, ring, 6, 5) for _ in range(4)]
+        packed = groebner_module._pack(ring, order, divisors + dividends)
+        layout = packed.layout
+        forms = packed.forms[: len(divisors)]
+        nums = [groebner_module._nums(f, layout) for f in dividends]
+        grown = groebner_module._DivisorTable(ring, layout)
+        for k, form in enumerate(forms):
+            before = dict(grown.memo)
+            groebner_module._add_remainder(
+                grown, groebner_module._terms(form), ring.field
+            )
+            whole = groebner_module._DivisorTable(ring, layout, forms[: k + 1])
+            assert grown.entries == whole.entries
+            for f in nums:
+                assert _reduced_by(grown, f, p) == _reduced_by(whole, f, p)
+            moved += sum(
+                grown.memo[m][1] is not first for m, (_, first) in before.items()
+            )
+        gb = Ideal(ring, divisors).groebner(order)
+        run = gb.run
+        for f in dividends:
+            got = divide(f, gb.table, order, with_quotients=True)
+            assert divide(f, gb.table, order, with_quotients=True) == got
+            cold = groebner_module._DivisorTable(ring, run.layout, run.forms)
+            assert divide(f, cold, order, with_quotients=True) == got
+    assert moved >= 100
+
+
+def _count_kernel_work(monkeypatch):
+    # the `_reduce` calls, the terms their heaps pop and the divisor table
+    # entries their lookups read, counted by wrappers around `_reduce`,
+    # `heappop` and the entry lists of every table made
+    work = {"calls": 0, "popped": 0, "scanned": 0}
+    inside = []
+    reduce_ = groebner_module._reduce
+    heappop = groebner_module.heappop
+    init = groebner_module._DivisorTable.__init__
+
+    class Counted(list):
+        def __iter__(self):
+            for entry in list.__iter__(self):
+                work["scanned"] += bool(inside)
+                yield entry
+
+        def __getitem__(self, k):
+            got = list.__getitem__(self, k)
+            return Counted(got) if isinstance(k, slice) else got
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.entries = Counted(self.entries)
+        self.log = Counted(self.log)
+
+    def counting_reduce(*args, **kwargs):
+        work["calls"] += 1
+        inside.append(True)
+        try:
+            return reduce_(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting_pop(heap):
+        work["popped"] += bool(inside)
+        return heappop(heap)
+
+    monkeypatch.setattr(groebner_module._DivisorTable, "__init__", counting_init)
+    monkeypatch.setattr(groebner_module, "_reduce", counting_reduce)
+    monkeypatch.setattr(groebner_module, "heappop", counting_pop)
+    return work
+
+
+def test_kernel_work_is_pinned(monkeypatch):
+    # division work that time alone would show, on one graded pair: the
+    # reduction search through n = 3 and one colon.  Tail-reducing every
+    # basis, with the tails the search steps and the certificate never
+    # read, takes 438 reductions popping 23 969 terms.  Without the
+    # first-divisor memo the lookups read 144 295 table entries, and
+    # 278 606 without the memo and with every tail reduced
+    work = _count_kernel_work(monkeypatch)
+    for field in (PrimeField(32003), RationalField()):
+        ring = PolyRing(("x", "y", "z", "w"), field)
+        u, v, s, t = ring.gens()
+        outer = Ideal(
+            ring,
+            (u**2 + v * s, v**2 - u * t, s**2 + u * v, t**2 - v * s + u * s),
+        )
+        inner = Ideal(
+            ring, (u**2 + v * s, v**2 - u * t, s**2 + u * v + t**2 - v * s + u * s)
+        )
+        for key in work:
+            work[key] = 0
+        assert not reduction_test(outer, inner, 3).is_reduction
+        assert len(colon(inner, outer).gens) == 6
+        assert work == {"calls": 340, "popped": 19330, "scanned": 18347}
+
+
+def test_minimal_bases_answer_as_the_reduced_basis(monkeypatch):
+    # the callers that read a minimal basis, not the reduced one: the
+    # Lazard leads and the nonzerodivisor certificate read its leads,
+    # the reduction step its membership
+    rng = random.Random(103)
+    fields = (RationalField(), PrimeField(32003))
+    runs = []
+    run = groebner_module.buchberger
+
+    def recording(gens, *args, **kwargs):
+        out = run(gens, *args, **kwargs)
+        if "_reduced" in kwargs and "_module" not in kwargs:
+            runs.append((gens, out))
+        return out
+
+    monkeypatch.setattr(groebner_module, "buchberger", recording)
+    verdicts = set()
+    certified = 0
+    for trial in range(36):
+        field = fields[trial % 2]
+        ring = PolyRing(("x", "y", "z")[: 2 + trial // 2 % 2], field)
+        # Lazard's leads against those of the reduced basis of the
+        # homogenized generators, dehomogenized and minimalized
+        gens = [
+            random_sparse_poly(rng, ring, 3, 3) for _ in range(rng.randint(1, 3))
+        ]
+        a = Ideal(ring, gens)
+        ext = PolyRing(("h",) + ring.variables, field)
+        homogenized = []
+        for f in a.gens:
+            d = total_degree(f)
+            homogenized.append(
+                Polynomial(ext, {(d - sum(e),) + e: c for e, c in f.terms.items()})
+            )
+        leads = Ideal(ext, homogenized).groebner(_LAZARD).lead_exps
+        want = tuple(groebner_module.minimal_exponents([e[1:] for e in leads]))
+        assert _lazard_leads(a) == want
+        # the certificate's leads against the reduced basis of a + (g)
+        a = Ideal(
+            ring,
+            [
+                _homogeneous_generator(rng, ring, rng.randint(1, 3))
+                for _ in range(rng.randint(1, 3))
+            ],
+        )
+        g = _homogeneous_generator(rng, ring, rng.randint(1, 2))
+        step = Ideal(ring, a.gens + (g,))
+        if not (a.contains(g) or groebner_module._square_in(a.groebner(), g)):
+            del runs[:]
+            groebner_module._has_nonzerodivisor(a.groebner(), [g])
+            ((_, out),) = runs
+            unpack = out.layout.unpack
+            got = tuple(unpack(form[0]) for form in out.forms)
+            assert got == step.groebner().lead_exps
+            certified += 1
+        # the step's verdict against membership in the reduced basis
+        pool = list(a.gens) + [g * v for v in ring.gens()]
+        pool.append(_homogeneous_generator(rng, ring, rng.randint(1, 3)))
+        for _ in range(3):
+            target = Ideal(ring, rng.sample(pool, rng.randint(1, 3)))
+            verdict = _step_reaches(step, target)
+            assert verdict == step.contains_ideal(target)
+            verdicts.add(verdict)
+    assert certified >= 18
+    assert verdicts == {True, False}
 
 
 def _random_monomial_exps(rng, nvars, count, max_exp):
