@@ -24,11 +24,13 @@ representations for Gröbner bases computations", ISSAC 1998).
   ((M_b | G) - M_a) & G = G, G the mask of the guard bits: a field
   keeps its guard bit exactly when b_i >= a_i, and no borrow leaves a
   field.  An lcm takes, field by field, the larger one this test marks.
-- The field width is picked from a run's inputs.  An exponent or degree
-  that outgrows it raises ExponentOverflowError and never wraps: it is
-  checked where terms are packed, and where a product, an S-polynomial
-  or a reduction step adds two monomials, whose sum then sets a guard
-  bit.
+- The field width is picked from a run's inputs by `_pack` or
+  `_layout`, and a finished basis is relaid wider only by
+  `GroebnerBasis.fit`, for an operand of higher degree; `_moved` is the
+  one map between layouts.  An exponent or degree that outgrows the
+  width raises ExponentOverflowError and never wraps: it is checked
+  where terms are packed, and where a product, an S-polynomial or a
+  reduction step adds two monomials, whose sum then sets a guard bit.
 
 Division reads its divisors from a table of their integer forms (see
 `_Packed`): each divisor's lead degree, lead, index, leading coefficient
@@ -39,8 +41,10 @@ every division: the growing basis of `buchberger`, the minimal basis in
 `GroebnerBasis` each hold one.  A table memoizes the first divisor of
 each monomial it has been asked about, so a monomial met again in a
 later S-polynomial is not looked up again.  `divide` packs a list of
-polynomials, with the dividend, once per call (Cox-Little-O'Shea,
-Ideals, Varieties, and Algorithms, ch. 2 §3).
+polynomials, with the dividend, once per call, and fits a
+`GroebnerBasis` to the dividend, as every helper fits a basis to the
+polynomial it packs against it (Cox-Little-O'Shea, Ideals, Varieties,
+and Algorithms, ch. 2 §3).
 
 Division runs on Python ints for both fields, in one loop.  Over Q a
 divisor is stored primitive, with integer coefficients, and the
@@ -167,7 +171,7 @@ from __future__ import annotations
 import bisect
 from contextvars import ContextVar
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import zip_longest
 from math import gcd, lcm
@@ -495,6 +499,22 @@ def _pack(ring, order, polys, top=0):
     return _Packed(ring, layout, [_poly_form(g, layout) for g in polys])
 
 
+def _moved(forms, src, dst, drop=0, pad=0):
+    # the integer forms of layout src relaid in dst, every exponent tuple
+    # without its first `drop` fields and after `pad` zero fields
+    zeros = (0,) * pad
+    unpack = src.unpack
+    pack = dst.pack
+
+    def move(m):
+        return pack(zeros + unpack(m)[drop:])
+
+    return [
+        (move(lead), L, tuple((move(e), c) for e, c in tail))
+        for lead, L, tail in forms
+    ]
+
+
 def _terms(form):
     # the int polynomial {monomial: coefficient} of an integer form
     lead, L, tail = form
@@ -583,21 +603,6 @@ class _DivisorTable:
         entry = (self.layout.degree(lead), lead, len(self.entries), L, tail)
         bisect.insort(self.entries, entry)
         self.log.append(entry)
-
-    def widened(self, layout):
-        # the same forms and indices in the wider `layout`
-        narrow = self.layout
-
-        def move(m):
-            return layout.pack(narrow.unpack(m))
-
-        return _DivisorTable(
-            self.ring,
-            layout,
-            [(move(lead), L, tuple((move(e), c) for e, c in tail))
-             for _, lead, _, L, tail in self.entries],
-            [idx for _, _, idx, _, _ in self.entries],
-        )
 
 
 def _add_remainder(table, r, field):
@@ -696,15 +701,15 @@ def divide(f, divisors, order=DEFAULT_ORDER, with_quotients=False):
     """Multivariate division: f = sum(q_i * divisors[i]) + remainder.
 
     `divisors` is a list of polynomials of f's ring, packed once at the
-    top of the call in a layout that fits f too, or the `table` of a
-    `GroebnerBasis` for the same order, whose divisors are its monic
-    polynomials; a table too narrow for f is repacked wider for the
-    call.  Each term is reduced by the first divisor in (lead degree,
-    order of the lead, index) order whose lead divides it.  A zero
-    divisor keeps its index, and its quotient is zero.  No remainder
-    term is divisible by the leading term of any divisor.  Quotients are
-    tracked only on request; the first return value is None otherwise.
-    Candidate terms live in a max-heap of their packed monomials.
+    top of the call in a layout that fits f too, or a `GroebnerBasis` of
+    f's ring for the same order, whose divisors are its monic
+    polynomials, read from the table of the basis fitted to f.  Each
+    term is reduced by the first divisor in (lead degree, order of the
+    lead, index) order whose lead divides it.  A zero divisor keeps its
+    index, and its quotient is zero.  No remainder term is divisible by
+    the leading term of any divisor.  Quotients are tracked only on
+    request; the first return value is None otherwise.  Candidate terms
+    live in a max-heap of their packed monomials.
 
     The arithmetic is on ints, for both fields.  The working polynomial
     is kept as `work`/s: integer coefficients over one common
@@ -719,16 +724,14 @@ def divide(f, divisors, order=DEFAULT_ORDER, with_quotients=False):
     """
     ring = f.ring
     top = _top([f])
-    if isinstance(divisors, _DivisorTable):
-        table = divisors
-        if table.layout.order != order:
+    if isinstance(divisors, GroebnerBasis):
+        if divisors.order != order:
             raise ValueError(
-                f"divisor table prepared for {table.layout.order!r}, not {order!r}"
+                f"basis prepared for {divisors.order!r}, not {order!r}"
             )
-        if table.ring != ring:
-            raise RingMismatchError(f"{ring!r} vs {table.ring!r}")
-        if _bits(top) > table.layout.bits:
-            table = table.widened(_layout(ring.nvars, order, top))
+        if divisors.ring != ring:
+            raise RingMismatchError(f"{ring!r} vs {divisors.ring!r}")
+        table = divisors.fit(top).table
         polys = None
         size = len(table.entries)
     else:
@@ -742,11 +745,8 @@ def divide(f, divisors, order=DEFAULT_ORDER, with_quotients=False):
     p = _char(ring)
     quotients = [{} for _ in range(size)] if with_quotients else None
     s = lcm(*(c.denominator for c in f.terms.values()))
-    layout = table.layout
-    pack = layout.pack
-    work = {pack(e): c.numerator * (s // c.denominator) for e, c in f.terms.items()}
-    remainder, s = _reduce(work, s, table, p, quotients)
-    unpack = layout.unpack
+    remainder, s = _reduce(_nums(f, table.layout), s, table, p, quotients)
+    unpack = table.layout.unpack
     if not p:
         remainder = {m: Fraction(c, s) for m, c in remainder.items()}
     rem = Polynomial(ring, {unpack(m): c for m, c in remainder.items()})
@@ -966,28 +966,26 @@ class GroebnerBasis:
     """A reduced basis with its order; iterates over the polynomials.
 
     `run` holds the `_Packed` integer forms of the run that made it.
-    The polynomials are built on first use, and the divisor table on the
-    first normal form, so a basis that only lends its leads, like those
-    of the Hilbert numerators, builds neither.
+    The lead exponents, the polynomials and the divisor table are each
+    built on first use, so a basis that only lends its leads, like those
+    of the Hilbert numerators, builds no table, and the minimal basis of
+    a reduction step, which only divides, unpacks no lead.
     """
-
-    __slots__ = ("ring", "order", "run", "lead_exps", "_polys", "_table")
 
     def __init__(self, ring, order, run):
         self.ring = ring
         self.order = order
         self.run = run
-        self._polys = None
-        unpack = run.layout.unpack
-        self.lead_exps = tuple(unpack(form[0]) for form in run.forms)
-        self._table = None
 
-    @property
+    @cached_property
+    def lead_exps(self):
+        unpack = self.run.layout.unpack
+        return tuple(unpack(form[0]) for form in self.run.forms)
+
+    @cached_property
     def polys(self):
-        if self._polys is None:
-            run = self.run
-            self._polys = tuple(_polys(run.ring, run.layout, run.forms))
-        return self._polys
+        run = self.run
+        return tuple(_polys(run.ring, run.layout, run.forms))
 
     def __iter__(self):
         return iter(self.polys)
@@ -995,15 +993,23 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.run)
 
-    @property
+    @cached_property
     def table(self):
-        if self._table is None:
-            run = self.run
-            self._table = _DivisorTable(run.ring, run.layout, run.forms)
-        return self._table
+        run = self.run
+        return _DivisorTable(run.ring, run.layout, run.forms)
+
+    def fit(self, top):
+        # this basis when its layout holds terms of degree `top`, else a
+        # copy relaid wide enough; the basis keeps its own layout
+        run = self.run
+        if _bits(top) <= run.layout.bits:
+            return self
+        layout = _layout(self.ring.nvars, self.order, top)
+        forms = _moved(run.forms, run.layout, layout)
+        return GroebnerBasis(self.ring, self.order, _Packed(self.ring, layout, forms))
 
     def normal_form(self, f):
-        return divide(f, self.table, self.order)[1]
+        return divide(f, self, self.order)[1]
 
     def contains(self, f):
         if f.is_zero:
@@ -1150,15 +1156,9 @@ def ideal_power(a, n):
     return result
 
 
-# beyond this many general generators the quadratic NF sweep is skipped
-_INTERREDUCE_NF_CAP = 300
-
-
 def _interreduce_forms(ring, forms, layout):
     # trim distinct integer forms without changing the ideal they span:
     # each is normal-formed against those already kept
-    if len(forms) > _INTERREDUCE_NF_CAP:
-        return _polys(ring, layout, forms)
     forms.sort(key=itemgetter(0))
     p = _char(ring)
     kept = []
@@ -1270,7 +1270,6 @@ def _syzygy_colon(gb, outside):
     # spanned by e_0 + sum e_i·g_i and the e_i·gb, in the encoding the
     # module docstring describes
     ring = gb.ring
-    run = gb.run
     k = len(outside)
     taken = set(ring.variables)
     names = []
@@ -1278,19 +1277,14 @@ def _syzygy_colon(gb, outside):
         names.append(_fresh_name(taken, f"e{i}"))
         taken.add(names[-1])
     ext = PolyRing(tuple(names[1:]) + (names[0],) + ring.variables, ring.field)
-    # grevlex leads ascend in degree and lead their elements
-    top = max([total_degree(g) for g in outside] + [sum(gb.lead_exps[-1])])
-    layout = _layout(ext.nvars, BlockElimination(k), top + 1)
+    # grevlex leads ascend in degree and lead their elements, and a
+    # component adds one to every degree
+    top = max([total_degree(g) for g in outside] + [sum(gb.lead_exps[-1])]) + 1
+    run = gb.fit(top).run
+    layout = _layout(ext.nvars, BlockElimination(k), top)
     comps = layout.units[: k + 1]  # e_1, ..., e_k, e_0
     units = layout.units[k + 1:]
-    unpack = run.layout.unpack
-
-    def lift(m):
-        return sum(map(mul, unpack(m), units))
-
-    lifted = [
-        (lift(lead), L, [(lift(e), c) for e, c in tail]) for lead, L, tail in run.forms
-    ]
+    lifted = _moved(run.forms, run.layout, layout, pad=k + 1)
     forms = [
         (lead + u, L, tuple((e + u, c) for e, c in tail))
         for u in comps
@@ -1313,22 +1307,16 @@ def _syzygy_colon(gb, outside):
     )
     # an element whose lead holds e_0 lies in e_0 whole, so the
     # e_0-elements of the minimal basis reduce among themselves to those
-    # of the reduced basis; drop e_0
+    # of the reduced basis; drop e_0, into the fields of gb fitted as
+    # wide as the module's
     guards = layout.guards
-    pack = run.layout.pack
     inside = [
         form
         for form in module.forms
         if ((form[0] | guards) - comps[k]) & guards == guards
     ]
-
-    def drop(m):
-        return pack(layout.unpack(m)[k + 1:])
-
-    return _Packed(ring, run.layout, [
-        (drop(lead), L, tuple((drop(e), c) for e, c in tail))
-        for lead, L, tail in _reduce_basis(ext, inside, layout)
-    ])
+    reduced = _reduce_basis(ext, inside, layout)
+    return _Packed(ring, run.layout, _moved(reduced, layout, run.layout, drop=k + 1))
 
 
 def _has_nonzerodivisor(gb, polys):
@@ -1340,11 +1328,11 @@ def _has_nonzerodivisor(gb, polys):
     # basis of a + (g) grows from the forms of gb, which is reduced
     # already.  A g with g^2 in a is a zero divisor, and runs no basis.
     num = _numerator(gb.lead_exps)
-    run = gb.run
-    layout = run.layout
     for g in polys:
         if _square_in(gb, g):
             continue
+        run = gb.fit(total_degree(g)).run
+        layout = run.layout
         grown = buchberger(
             _Packed(gb.ring, layout, run.forms + [_poly_form(g, layout)]),
             gb.order,
@@ -1361,6 +1349,7 @@ def _has_nonzerodivisor(gb, polys):
 def _square_in(gb, g):
     # does g^2 lie in the ideal of the reduced basis gb?  Squared on the
     # int coefficients of g, which leave membership as it is
+    gb = gb.fit(2 * total_degree(g))
     layout = gb.run.layout
     p = _char(gb.ring)
     nums = _nums(g, layout)
@@ -1369,8 +1358,9 @@ def _square_in(gb, g):
 
 def _reduced_multiple(gb, g):
     # the reduced basis of g·a, from the reduced basis gb of a: the
-    # products g·h are a Groebner basis already, with minimal leads
-    run = gb.run
+    # products g·h are a Groebner basis already, with minimal leads.  The
+    # grevlex leads of gb ascend in degree and lead their elements
+    run = gb.fit(total_degree(g) + sum(gb.lead_exps[-1])).run
     layout = run.layout
     p = _char(gb.ring)
     nums = _nums(g, layout)

@@ -32,14 +32,13 @@ from .errors import (
     PreconditionError,
 )
 from .groebner import (
+    GroebnerBasis,
     Ideal,
-    _DivisorTable,
     _fresh_name,
     _lift,
     _pack,
     buchberger,
     colon,
-    divide,
     eliminate,
     ideal_power,
     ideal_product,
@@ -125,14 +124,15 @@ def reduction_test(outer, inner, n_max=10):
 def _step_reaches(step, target):
     # does target·R_m lie inside step·R_m?  A graded pair is compared in
     # R, by division by the minimal basis of step through the top degree
-    # of target: membership needs no tail reduced
+    # of target, packed wide enough for target: membership needs no tail
+    # reduced
     if not (step.is_homogeneous() and target.is_homogeneous()):
         return _inside_locally(step, target)
     top = max(map(total_degree, target.gens), default=0)
-    gens = _pack(step.ring, DEFAULT_ORDER, step.gens)
-    basis = buchberger(gens, DEFAULT_ORDER, _degree=top)
-    table = _DivisorTable(step.ring, basis.layout, basis.forms)
-    return all(divide(g, table)[1].is_zero for g in target.gens)
+    gens = _pack(step.ring, DEFAULT_ORDER, step.gens, top)
+    run = buchberger(gens, DEFAULT_ORDER, _degree=top)
+    basis = GroebnerBasis(step.ring, DEFAULT_ORDER, run)
+    return all(basis.contains(g) for g in target.gens)
 
 
 class CriterionReport(FrozenValue):

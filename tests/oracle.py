@@ -272,11 +272,10 @@ def interreduce(polys, order=None):
 
     Monomial lists are cut to their minimal generators, with
     coefficient one, ascending in the order.  Other lists keep the
-    first of several scalar multiples, and then, up to the library's
-    cap on such lists, are sorted by lead and normal-formed, monic,
-    against what is already kept.
+    first of several scalar multiples, and then are sorted by lead and
+    normal-formed, monic, against what is already kept.
     """
-    from reeslab import DEFAULT_ORDER, divide, groebner, leading_term
+    from reeslab import DEFAULT_ORDER, divide, leading_term
 
     order = order or DEFAULT_ORDER
     polys = [g for g in polys if not g.is_zero]
@@ -293,8 +292,6 @@ def interreduce(polys, order=None):
         if g not in seen:
             seen.add(g)
             distinct.append(g)
-    if len(distinct) > groebner._INTERREDUCE_NF_CAP:
-        return distinct
     distinct.sort(key=lambda g: order.key(leading_term(g, order)[0]))
     kept = []
     for g in distinct:

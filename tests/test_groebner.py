@@ -120,7 +120,7 @@ def test_prepared_divisors_match_list_division():
         for _ in range(3):
             f = random_sparse_poly(rng, ring, 5, 5)
             assert gb.normal_form(f) == divide(f, list(gb.polys), order)[1]
-            assert divide(f, gb.table, order, with_quotients=True) == divide(
+            assert divide(f, gb, order, with_quotients=True) == divide(
                 f, list(gb.polys), order, with_quotients=True
             )
             quotients, rem = divide(f, divisors, order, with_quotients=True)
@@ -134,7 +134,7 @@ def test_prepared_divisors_match_list_division():
                     all(a >= b for a, b in zip(exps, le)) for le in leads
                 )
     with pytest.raises(ValueError, match="prepared for"):
-        divide(x + y, Ideal(R, [x]).groebner(Lex()).table, GrevLex())
+        divide(x + y, Ideal(R, [x]).groebner(Lex()), GrevLex())
 
 
 def textbook_divide(f, divisors, order):
@@ -215,8 +215,8 @@ def test_integer_division_matches_textbook_fractions():
             expected = textbook_divide(f, divisors, order)
             assert divide(f, divisors, order, with_quotients=True) == expected
             expected = textbook_divide(f, list(gb.polys), order)
-            assert divide(f, gb.table, order, with_quotients=True) == expected
-            assert divide(f, gb.table, order)[1] == expected[1]
+            assert divide(f, gb, order, with_quotients=True) == expected
+            assert divide(f, gb, order)[1] == expected[1]
 
 
 def test_integer_division_denominator_grows_every_step():
@@ -290,7 +290,7 @@ def test_division_refuses_divisors_of_other_rings():
         with pytest.raises(RingMismatchError):
             divide(a, divisors, with_quotients=True)
     with pytest.raises(RingMismatchError):
-        divide(a, Ideal(R, [x * y - 1]).groebner().table)
+        divide(a, Ideal(R, [x * y - 1]).groebner())
     divisors = [x * y - 1, y**2 - 1]
     quotients, rem = divide(f, divisors, with_quotients=True)
     assert divide(f, [R.zero] + divisors, with_quotients=True) == (
@@ -526,19 +526,32 @@ def test_exponents_past_the_field_width_compute_or_refuse():
             buchberger([u - v**k, u**8], Lex())
         with pytest.raises(ExponentOverflowError):
             divide(u**8, [u - v**k], Lex())
-        # a dividend past the fields of its divisors widens them: a list
-        # is packed with the dividend, a basis table repacked wider
+        # an operand past the fields of its divisors widens them: a list
+        # is packed with the dividend, and a basis is fitted to each
+        # polynomial packed against it (a dividend, a square, a product)
         k = 2**31
         assert Ideal(ring, [v]).contains(u**k * v)
         assert not Ideal(ring, [v]).contains(u**k + v**2)
         assert divide(u**k, [v]) == (None, u**k)
         gb = Ideal(ring, [v**2 + v]).groebner()
+        assert gb.normal_form(v**3) == v
         f = u**k * v**2 + v**3
-        quotients, rem = divide(f, gb.table, with_quotients=True)
+        quotients, rem = divide(f, gb, with_quotients=True)
         assert rem == v - u**k * v
         assert quotients == [u**k + v - 1]
-        # the table itself keeps its layout
+        assert gb.normal_form(f) == rem
+        assert gb.normal_form(v**3) == v
+        # the basis itself keeps its layout
         assert gb.table.layout.bits == 31
+        assert not radical_membership(u**k, Ideal(ring, [v]))
+        assert radical_membership(u**k * v, Ideal(ring, [v**2]))
+        assert list(colon(Ideal(ring, [v**2]), Ideal(ring, [u**k + v])).gens) == [
+            v**2
+        ]
+        # a graded reduction step is packed with its target
+        step = Ideal(ring, [v**2 + u * v])
+        assert _step_reaches(step, Ideal(ring, [u**k * v**2 + u ** (k + 1) * v]))
+        assert not _step_reaches(step, Ideal(ring, [u ** (k + 2)]))
 
 
 def _reduced_by(table, nums, p):
@@ -590,10 +603,11 @@ def test_grown_table_divides_as_a_table_built_whole():
         gb = Ideal(ring, divisors).groebner(order)
         run = gb.run
         for f in dividends:
-            got = divide(f, gb.table, order, with_quotients=True)
-            assert divide(f, gb.table, order, with_quotients=True) == got
+            got = divide(f, gb, order, with_quotients=True)
+            assert divide(f, gb, order, with_quotients=True) == got
             cold = groebner_module._DivisorTable(ring, run.layout, run.forms)
-            assert divide(f, cold, order, with_quotients=True) == got
+            f = groebner_module._nums(f, run.layout)
+            assert _reduced_by(gb.table, f, p) == _reduced_by(cold, f, p)
     assert moved >= 100
 
 
@@ -1092,16 +1106,18 @@ def test_ideal_product_matches_interreduced_products():
     assert list(ideal_product(Ideal(R, (x + y,)), Ideal(R, (x - y,))).gens) == [
         x**2 - y**2
     ]
-    # 324 distinct products: more than interreduce reduces, so each
-    # product's form is kept as it is built
+    # 324 distinct products, each a multiple of the least, which alone
+    # the normal-form sweep keeps
     for field in (RationalField(), PrimeField(p)):
         ring = PolyRing(("x", "y", "z", "w"), field)
         u, v, s, t = ring.gens()
         a = Ideal(ring, [s**i * (u + v) for i in range(18)])
         b = Ideal(ring, [t**j * (u - v) for j in range(18)])
         prods = [f * g for f in a.gens for g in b.gens]
-        assert len(prods) > groebner_module._INTERREDUCE_NF_CAP
-        assert list(ideal_product(a, b).gens) == interreduce(prods)
+        assert len(set(prods)) == 324
+        assert list(ideal_product(a, b).gens) == interreduce(prods) == [
+            u**2 - v**2
+        ]
 
 
 def _colon_cases(rng, ring):

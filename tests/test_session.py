@@ -212,6 +212,24 @@ def test_zero_candidate_is_a_certified_non_reduction():
     assert trivial["reduction_number"] == 0
 
 
+def test_a_generator_past_the_field_width_answers():
+    # g has degree 2^31, past the 31 value bits of the bases it meets;
+    # each colon of the d-sequence test fits its basis to g, so the task
+    # answers instead of overflowing
+    for field in ("q", "f<32003>"):
+        text = (
+            f"ring {field}[x,y]\n"
+            "poly f = y^2\n"
+            "poly g = x^2147483648 + y\n"
+            "task dseq f g\n"
+        )
+        report = run_session(parse_session(text))
+        jsonschema.validate(report, REPORT_SCHEMA)
+        (dseq,) = report["tasks"]
+        assert dseq["status"] == "ok"
+        assert dseq["weak"] is True and dseq["strict"] is True
+
+
 def test_locally_equal_pairs_read_the_same_verdicts():
     # (y) ⊃ (xy^2 - y^2) is (y) ⊃ (y^2) in R_m, since x - 1 is a unit
     # there: the radicals behind radcolon and mult are read locally
