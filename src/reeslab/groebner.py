@@ -86,11 +86,17 @@ generators are already a Groebner basis, and reduced because no lead
 divides another term of the basis (Cox-Little-O'Shea, ch. 2 §4).  The
 basis is unique, so it is the one the S-pair loop would return.
 `buchberger` keeps the minimal leads, found in one pass by ascending
-degree, as `minimal_exponents` finds minimal tuples.  Products and
-powers of monomial ideals add exponents and minimalize once by
-`minimal_exponents`, with no polynomial arithmetic.  Products of other
-ideals multiply the packed integer forms of their generators, and
-`_interreduce_forms` takes one primitive form per product.  The
+degree, as `minimal_exponents` finds minimal tuples.  A product or
+power of monomial ideals is a sum of packed leads: each pair of
+generators is one int add in the product's layout, a sum that sets a
+guard bit raises, and `_minimal_leads` keeps the minimal sums in
+ascending order, which is the order's.  Those are the product's
+reduced basis, so the product ideal is born with it: its generators
+are the monomials with coefficient one, its default-order basis holds
+their forms, and it is known to be homogeneous.  That needs no
+polynomial arithmetic, no order key and no Buchberger run.  Products
+of other ideals multiply the packed integer forms of their generators,
+and `_interreduce_forms` takes one primitive form per product.  The
 Hilbert numerator of a monomial ideal, `_numerator`, is swept one
 variable at a time down to a closed form in two variables; its slices
 are minimalized by the same pass, unsorted.
@@ -163,7 +169,9 @@ and return the same lists.
   functions and the Buchberger algorithm", J. Symbolic Comput. 22
   (1996).
 - Each colon is memoized on its dividend's `_cache`, keyed by the
-  divisor's generators, like the powers.
+  divisor's generators, like the powers.  When the certificate decides
+  a : b = a, the result, which keeps a's basis, is memoized as its own
+  colon by b, so the next step of a colon chain repeats no work.
 """
 
 from __future__ import annotations
@@ -446,11 +454,6 @@ def _monomial_exps(polys):
     if all(len(g.terms) == 1 for g in polys):
         return [next(iter(g.terms)) for g in polys]
     return None
-
-
-def _monomials(ring, exps):
-    one = ring.field.one
-    return [Polynomial(ring, {e: one}) for e in exps]
 
 
 def _form(nums, field):
@@ -1027,7 +1030,11 @@ class Ideal:
 
     The generator list keeps its given order (zeros dropped, duplicates
     collapsed); value-level questions, membership among them, go through
-    the full reduced Groebner basis, cached per monomial order.
+    the full reduced Groebner basis, cached per monomial order.  Whether
+    every generator is homogeneous is read once and kept in `_cache`,
+    with the powers, colons, local leads and Hilbert numerator; a
+    product of monomial ideals is born with its basis and known to be
+    homogeneous.
     """
 
     __slots__ = ("ring", "gens", "_gb", "_cache")
@@ -1062,8 +1069,13 @@ class Ideal:
         return gb
 
     def is_homogeneous(self):
-        """Is every generator homogeneous?"""
-        return all(g.is_homogeneous() for g in self.gens)
+        """Is every generator homogeneous?  Memoized."""
+        known = self._cache.get("homogeneous")
+        if known is None:
+            known = self._cache["homogeneous"] = all(
+                g.is_homogeneous() for g in self.gens
+            )
+        return known
 
     def contains(self, f):
         if isinstance(f, (int, Fraction)):
@@ -1095,6 +1107,23 @@ class Ideal:
         return self.groebner().is_unit
 
 
+def _monomial_ideal(ring, layout, leads):
+    # the ideal of the packed monomials `leads`, minimal and ascending in
+    # the default order, which are its reduced basis with coefficient
+    # one; built without Ideal.__init__'s checks of outside input
+    forms = [(m, 1, ()) for m in leads]
+    gb = GroebnerBasis(ring, DEFAULT_ORDER, _Packed(ring, layout, forms))
+    gb.lead_exps = tuple(map(layout.unpack, leads))
+    one = ring.field.one
+    gb.polys = tuple(Polynomial(ring, {e: one}) for e in gb.lead_exps)
+    ideal = Ideal.__new__(Ideal)
+    ideal.ring = ring
+    ideal.gens = gb.polys
+    ideal._gb = {DEFAULT_ORDER: gb}
+    ideal._cache = {"homogeneous": True}
+    return ideal
+
+
 def zero_ideal(ring):
     return Ideal(ring, ())
 
@@ -1121,15 +1150,17 @@ def ideal_sum(a, b):
 
 def ideal_product(a, b):
     _same_ring(a, b)
+    ring = a.ring
+    layout = _layout(ring.nvars, DEFAULT_ORDER, _top(a.gens) + _top(b.gens))
     ea = _monomial_exps(a.gens)
     eb = _monomial_exps(b.gens)
     if ea is not None and eb is not None:
-        exps = [tuple(map(add, e, f)) for e in ea for f in eb]
-        return Ideal(a.ring, _monomials(a.ring, minimal_exponents(exps)))
-    ring = a.ring
-    top = max(map(total_degree, a.gens), default=0)
-    top += max(map(total_degree, b.gens), default=0)
-    layout = _layout(ring.nvars, DEFAULT_ORDER, top)
+        pack = layout.pack
+        right = [pack(f) for f in eb]
+        sums = {m + n for m in map(pack, ea) for n in right}
+        if any(m & layout.guards for m in sums):
+            raise layout.overflow()
+        return _monomial_ideal(ring, layout, _minimal_leads(sums, layout))
     p = _char(ring)
     left = [_nums(f, layout) for f in a.gens]
     right = [_nums(g, layout) for g in b.gens]
@@ -1227,11 +1258,12 @@ def _colon(a, b):
         exps = _monomial_exps(a.gens)
         if exps is not None:
             return _monomial_colon(ring, exps, outside)
-    if constant or (
+    certified = not constant and (
         a.is_homogeneous()
         and b.is_homogeneous()
         and _has_nonzerodivisor(gb, outside)
-    ):
+    )
+    if constant or certified:
         basis = gb  # a : b = a
     else:
         basis = GroebnerBasis(ring, DEFAULT_ORDER, _syzygy_colon(gb, outside))
@@ -1244,6 +1276,10 @@ def _colon(a, b):
         meet = a.gens if constant else _reduced_multiple(basis, g)
         result = Ideal(ring, _quotients(meet, g))
     result._gb[DEFAULT_ORDER] = basis
+    if certified:
+        # the result has a's basis, so its own colon by b finds the same
+        # outside generators and certificate, and gives this same list
+        result._cache[("colon", b.gens)] = result
     return result
 
 

@@ -27,7 +27,10 @@ same leads decide containment in R_m (`_inside_locally`): b·R_m lies
 inside a·R_m exactly when a and a + b have the same local leads.  All
 values are exact integers; anything not certifiably finite raises.
 groebner._numerator computes each N by sweeping one variable at a time
-down to a closed form in two variables.
+down to a closed form in two variables, and `_local_numerator` keeps
+it on the ideal's `_cache`, so an ideal read by several tasks, such as
+the powers a length, a Rees table and a multiplicity share, is swept
+once.
 """
 
 from __future__ import annotations
@@ -137,6 +140,14 @@ def _inside_locally(a, b):
     return _local_leads(ideal_sum(a, b)) == _local_leads(a)
 
 
+def _local_numerator(a):
+    # the Hilbert numerator of R/L(a), L(a) the local leads; memoized on a
+    num = a._cache.get("numerator")
+    if num is None:
+        num = a._cache["numerator"] = tuple(_numerator(_local_leads(a)))
+    return num
+
+
 def _split_pole(b, a=None):
     """(c, q) with N_b - N_a = (1-t)^c·q and c <= n as large as possible.
 
@@ -149,13 +160,11 @@ def _split_pole(b, a=None):
     power.
     """
     nvars = b.ring.nvars
-    series = _numerator(_local_leads(b))
+    series = _local_numerator(b)
     if a is not None:
         series = [
             nb - na
-            for nb, na in zip_longest(
-                series, _numerator(_local_leads(a)), fillvalue=0
-            )
+            for nb, na in zip_longest(series, _local_numerator(a), fillvalue=0)
         ]
     if not any(series):
         return nvars, []

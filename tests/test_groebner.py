@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
-from operator import mul
+from operator import add, mul
 
 import pytest
 
@@ -44,6 +44,7 @@ from reeslab import (
     ideal_product,
     ideal_sum,
     poly_str,
+    radical_colon_stability,
     radical_membership,
     total_degree,
     unit_ideal,
@@ -810,6 +811,57 @@ def test_monomial_ideals_match_the_s_pair_loop():
         )
 
 
+@pytest.mark.parametrize(
+    "field", [RationalField(), PrimeField(32003)], ids=["q", "gf32003"]
+)
+def test_monomial_products_carry_their_reduced_basis(field):
+    # a product or power of monomial ideals is born with the reduced
+    # basis buchberger finds from its generators: the same forms, leads
+    # and polynomials, and generators of minimal exponents, coefficient 1
+    rng = random.Random(97)
+    order = GrevLex()
+
+    def sums(u, v):
+        return [tuple(map(add, e, f)) for e in u for f in v]
+
+    def check(ideal, exps):
+        ring = ideal.ring
+        gb = ideal._gb[order]  # carried, not built on demand
+        run = buchberger(groebner_module._pack(ring, order, ideal.gens), order)
+        assert gb.run.layout.bits == run.layout.bits
+        assert gb.run.forms == run.forms
+        built = groebner_module.GroebnerBasis(ring, order, run)
+        assert gb.lead_exps == built.lead_exps
+        assert gb.polys == built.polys == tuple(buchberger(ideal.gens, order))
+        minimal = groebner_module.minimal_exponents(exps)
+        assert list(ideal.gens) == _monomial_list(ring, minimal)
+        assert ideal.is_homogeneous()
+        assert all(g.is_homogeneous() for g in ideal.gens)
+        assert ideal.groebner() is gb
+
+    for nvars in (2, 3, 4):
+        ring = PolyRing(("x", "y", "z", "w")[:nvars], field)
+        family = [unit_ideal(ring), zero_ideal(ring), Ideal(ring, ring.gens())]
+        family.append(ideal_power(family[-1], 2))
+        for _ in range(3):
+            exps = _random_monomial_exps(rng, nvars, rng.randint(1, 4), 3)
+            family.append(
+                Ideal(ring, [
+                    rng.choice([1, 2, -5]) * m for m in _monomial_list(ring, exps)
+                ])
+            )
+        for a in family:
+            ea = [next(iter(g.terms)) for g in a.gens]
+            for b in family:
+                eb = [next(iter(g.terms)) for g in b.gens]
+                check(ideal_product(a, b), sums(ea, eb))
+            # a^0 is the unit ideal and a^1 is a, neither of them built
+            power = ea
+            for n in range(2, 5):
+                power = sums(power, ea)
+                check(ideal_power(a, n), power)
+
+
 def test_monomial_basis_ignores_the_pair_budget():
     # a monomial ideal queues no pair and adds no basis element, so even
     # the smallest budget returns its 30 minimal generators
@@ -1307,6 +1359,37 @@ def test_colon_memo_returns_the_same_ideal():
     assert colon(a, Ideal(R3, (y3, z3))) is first
     # the key is the divisor's generator list
     assert colon(a, Ideal(R3, (z3, y3))) is not first
+
+
+@pytest.mark.parametrize(
+    "field", [RationalField(), PrimeField(32003)], ids=["q", "gf32003"]
+)
+def test_certified_colon_is_its_own_colon(field, monkeypatch):
+    # when the nonzerodivisor certificate decides a : b = a, the result
+    # is memoized as its own colon by b.  In the chain of
+    # radical_colon_stability, inner^n : m = inner^n at every step (w is
+    # a nonzerodivisor modulo inner^n), so the certificate runs once per
+    # n, not once per step: 3, not 1 + 2 + 3
+    ring = PolyRing(("x", "y", "z"), field)
+    u, v, w = ring.gens()
+    inner = Ideal(ring, (u**2 + u * v, v**3 - u * v**2))
+    outer = Ideal(ring, ring.gens())
+    certify = groebner_module._has_nonzerodivisor
+    verdicts = []
+
+    def recording(gb, polys):
+        verdicts.append(certify(gb, polys))
+        return verdicts[-1]
+
+    monkeypatch.setattr(groebner_module, "_has_nonzerodivisor", recording)
+    report = radical_colon_stability(outer, inner, 3)
+    assert verdicts == [True, True, True]
+    # the chain is the one elimination gives, step by step
+    for n, got in enumerate(report.chain, 1):
+        c = ideal_power(inner, n)
+        for _ in range(n):
+            c = Ideal(ring, elimination_colon(c, outer))
+        assert got.gens == c.gens
 
 
 def test_colon_work_is_pinned(monkeypatch):

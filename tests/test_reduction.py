@@ -32,7 +32,7 @@ from reeslab import (
     total_degree,
     zero_ideal,
 )
-from reeslab import groebner, reduction
+from reeslab import groebner, lengths, parse_session, reduction, run_session
 
 R = PolyRing(("x", "y"), RationalField())
 x, y = R.gens()
@@ -93,6 +93,61 @@ def test_reduction_step_caps_its_basis(monkeypatch):
     inner = Ideal(R, (x + y**2, y + x**2))
     assert reduction_test(outer, inner).reduction_number == 0
     assert caps == []
+
+
+@pytest.mark.parametrize("field", ["q", "f<32003>"])
+def test_monomial_powers_build_no_basis_and_read_each_numerator_once(
+    field, monkeypatch
+):
+    # a product of monomial ideals is born with its reduced basis, so the
+    # Rees table of a monomial pair runs buchberger for the two given
+    # ideals only; and each ideal's Hilbert numerator is computed once,
+    # however many tasks read it
+    runs = []
+    run = groebner.buchberger
+
+    def recording(gens, *args, **kwargs):
+        runs.append(gens)
+        return run(gens, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    session = parse_session(
+        f"ring {field}[x,y,z]\n"
+        "ideal I = x^2, x*y, y^2, x*z, y*z, z^2\n"
+        "ideal J = x^2, y^2, z^2\n"
+        "task length I J\n"
+        "task reduction I J nmax=4\n"
+        "task rees I J nrange=1..6\n"
+    )
+    outer, inner = session.bindings["I"], session.bindings["J"]
+    table = rees_function(outer, inner, range(1, 7))
+    assert table.values == (4, 12, 24, 40, 60, 84)
+    assert len(runs) == 2
+    assert outer._gb and inner._gb
+    # the session over fresh bindings: the length task reads I and J,
+    # the rees task I^n and J^n for n = 1..6, so 12 ideals in all
+    session = parse_session(session.canonical_text())
+    read = []
+    split = lengths._split_pole
+    numerators = []
+    numerator = lengths._numerator
+
+    def reading(b, a=None):
+        read.extend(i for i in (b, a) if i is not None)
+        return split(b, a)
+
+    def counting(leads):
+        numerators.append(leads)
+        return numerator(leads)
+
+    monkeypatch.setattr(lengths, "_split_pole", reading)
+    monkeypatch.setattr(lengths, "_numerator", counting)
+    report = run_session(session)
+    length, verdict, rees = report["tasks"]
+    assert report["ok"] and length["length"] == 4
+    assert verdict["reduction_number"] == 1 and verdict["certified"]
+    assert rees["table"]["values"] == list(table.values)
+    assert len({id(i) for i in read}) == len(numerators) == 12
 
 
 def test_reduction_trivial_pair():
